@@ -181,6 +181,26 @@ def test_incremental_consistency_over_long_walks():
         assert index.snapshot() == build_index(arr, t).snapshot()
 
 
+def test_walk_keeps_sample_sets_and_groups_equal_to_rebuild():
+    # snapshot() ignores the sample sets the proposed neighbour draws from
+    rng = random.Random(59)
+    for _ in range(25):
+        model = random_model(rng, max_k=7, max_v=3)
+        t = rng.randint(1, min(3, model.k))
+        arr = random_array(model, rng.randint(1, 9), rng)
+        index = build_index(arr, t)
+        for _ in range(60):
+            move = random_move(arr, rng)
+            apply_move(index, arr, move)
+            if rng.random() < 0.3:
+                undo_move(index, arr, move)
+        rebuilt = build_index(arr, t)
+        assert set(index.uncovered_ids._items) == set(rebuilt.uncovered_ids._items)
+        assert set(index.colliding_ids._items) == set(rebuilt.colliding_ids._items)
+        assert len(index.colliding_ids) == index.collision_count
+        assert index._groups == rebuilt._groups
+
+
 # --- oracle equivalence with the verifier ---------------------------------------
 
 
