@@ -7,11 +7,10 @@ timeout, 3 interaction catalog over the memory budget, 64 usage error.
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from .anneal import AnnealParams, STRATEGIES
-from .cost import CapacityError
+from .cost import CapacityError, memory_budget_from_env
 from .model import ModelParseError, load_array, parse_model, save_array, format_array
 from .search import (
     SearchBudget,
@@ -20,6 +19,7 @@ from .search import (
     derive_seed,
     initial_bounds,
     parallel_construct,
+    pool_map,
 )
 from .verify import verify, locate_fault
 
@@ -90,8 +90,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError from a bad flag or
+    environment value turned into a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+
+
+def _check_run_flags(args) -> None:
+    """Flags and settings shared by generate and bench, checked before any search."""
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
+    _usage_checked(memory_budget_from_env)
+
+
 def _params_from(args) -> AnnealParams:
-    return AnnealParams(
+    return _usage_checked(
+        AnnealParams,
         weight=args.weight,
         t_init=args.t_init,
         k_max=args.k_max,
@@ -114,8 +131,9 @@ def cmd_generate(args) -> int:
     if not 1 <= args.strength <= model.k:
         print(f"strength must lie in 1..{model.k}", file=sys.stderr)
         return EXIT_USAGE
+    _check_run_flags(args)
     params = _params_from(args)
-    budget = SearchBudget(max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
+    budget = _usage_checked(SearchBudget, max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
     if args.workers > 1:
         result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
     else:
@@ -237,6 +255,12 @@ def cmd_bench(args) -> int:
     except (ValueError, ModelParseError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    if not entries:
+        raise _UsageError("the suite lists no instances")
+    if args.runs < 1:
+        raise _UsageError("--runs must be at least 1")
+    _check_run_flags(args)
+    _usage_checked(SearchBudget, timeout=args.timeout)
 
     log_path = args.log or (f"{args.out}.log" if args.out else "bench.log")
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -265,8 +289,7 @@ def _bench_instance(name, spec, args, log) -> list:
              SearchBudget(timeout=args.timeout, seed=seeds[r]))
             for r in range(args.runs)
         ]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            runs = [res for _, res in sorted(pool.map(_construct_worker, jobs), key=lambda p: p[0])]
+        runs = [res for _, res in pool_map(_construct_worker, jobs, args.workers)]
     else:
         for r in range(args.runs):
             budget = SearchBudget(timeout=args.timeout, seed=seeds[r])

@@ -7,23 +7,34 @@ for any positive weight, exactly when the array is a locating array.
 
 The index keeps, per interaction, its covering row set as a bit mask, plus
 a grouping of equal non-empty masks so both counters can be maintained in
-O(1) per touched interaction.  A single entry change (row i, factor j) can
-only affect interactions containing factor j whose other pairs match row i,
-so a move touches O(C(k-1, t-1)) interactions rather than all of I_t.
+O(1) per touched interaction.  A group is a bare interaction id while only
+one interaction has that row set, and becomes a set once two or more share
+it; most interactions of a nearly locating array are alone in their group,
+so a retarget usually moves one dict slot and touches no set.
+
+A single entry change (row i, factor j) can only affect interactions
+containing factor j whose other pairs match row i, so a move touches
+O(C(k-1, t-1)) interactions rather than all of I_t.  The index finds them
+through per-factor partner tables built once from the catalog: for every
+factor combination containing j, its block offset, j's stride and the
+(factor, stride) pairs of the other factors.  The same path serves every
+strength.
 """
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from random import Random
 
 from .model import Interaction, TestArray, enumerate_interactions, interaction_count
 
 DEFAULT_MEM_BUDGET_MB = 512
 MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
-# rough per-interaction footprint of the index structures (mask + group slot
-# + sample-set slot), used only for the fail-fast capacity check
-_BYTES_PER_INTERACTION = 150
+# per-interaction footprint of the index (mask, group slot, sample-set slot,
+# share of the partner tables), used only for the fail-fast capacity check.
+# tracemalloc measured 130-230 B on random arrays of 2^40 3^10 (t=2) and
+# 2^10 3^2 (t=3) at 0-80 rows; the peak is near the row count where most
+# interactions collide, so this is the largest figure rounded up.
+_BYTES_PER_INTERACTION = 240
 
 
 class CapacityError(Exception):
@@ -36,6 +47,16 @@ class CapacityError(Exception):
             f"{n_interactions} interactions exceed the {budget_mb} MiB index budget "
             f"(override with {MEM_BUDGET_ENV})"
         )
+
+
+def memory_budget_from_env() -> int:
+    """The index memory budget in MiB: LOCARAY_MEM_BUDGET_MB, else 512."""
+    text = os.environ.get(MEM_BUDGET_ENV)
+    if text is None:
+        return DEFAULT_MEM_BUDGET_MB
+    if not text.strip().isdecimal():
+        raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
+    return int(text)
 
 
 class _SampleSet:
@@ -113,9 +134,7 @@ class CoverageIndex:
         if not 1 <= t <= model.k:
             raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
         n = interaction_count(model, t)
-        budget = memory_budget_mb
-        if budget is None:
-            budget = int(os.environ.get(MEM_BUDGET_ENV, DEFAULT_MEM_BUDGET_MB))
+        budget = memory_budget_mb if memory_budget_mb is not None else memory_budget_from_env()
         if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
             raise CapacityError(n, budget)
 
@@ -128,22 +147,31 @@ class CoverageIndex:
         self.collision_count = 0
         self.uncovered_ids = _SampleSet()
         self.colliding_ids = _SampleSet()
-        self._groups: dict[int, set[int]] = {}
-        self._others = [
-            tuple(j2 for j2 in range(model.k) if j2 != j) for j in range(model.k)
-        ]
-        # fast index arithmetic for the hot t=2 path: the id of the pair
-        # {(j1,v1),(j2,v2)} with j1<j2 is pair_base[j1][j2] + v1*v[j2] + v2
-        self._pair_base: list[list[int]] | None = None
-        if t == 2:
-            base = [[0] * model.k for _ in range(model.k)]
-            for pos, (j1, j2) in enumerate(self.catalog.combos):
-                base[j1][j2] = self.catalog.offsets[pos]
-            self._pair_base = base
+        # row set -> the tid holding it, or the set of tids once two or more share it
+        self._groups: dict[int, int | set[int]] = {}
+        self._partners = self._partner_tables()
 
         self._build(array)
 
     # --- construction --------------------------------------------------
+
+    def _partner_tables(self) -> list[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+        """Per factor j, one (offset, stride of j, ((other factor, stride), ...))
+        entry for each factor combination containing j, in catalog order.
+
+        The order fixes the order of the sample-set updates of an entry
+        change, and so the positions the RNG picks from: catalog order for
+        a fixed j is ascending in the partner factors at every strength.
+        """
+        catalog = self.catalog
+        tables: list[list] = [[] for _ in range(self.model.k)]
+        shared: dict[tuple, tuple] = {}  # equal partner tuples are stored once
+        for pos, combo in enumerate(catalog.combos):
+            stride = catalog.strides[pos]
+            for d, j in enumerate(combo):
+                others = tuple((jj, stride[e]) for e, jj in enumerate(combo) if e != d)
+                tables[j].append((catalog.offsets[pos], stride[d], shared.setdefault(others, others)))
+        return [tuple(entries) for entries in tables]
 
     def _build(self, array: TestArray) -> None:
         rowsets = self.rowsets
@@ -163,96 +191,106 @@ class CoverageIndex:
                 continue
             members = groups.get(rs)
             if members is None:
-                groups[rs] = {tid}
+                groups[rs] = tid
+            elif type(members) is int:
+                groups[rs] = {members, tid}
+                self.collision_count += 2
+                self.colliding_ids.add(members)
+                self.colliding_ids.add(tid)
             else:
-                if len(members) == 1:
-                    self.collision_count += 2
-                    self.colliding_ids.add(next(iter(members)))
-                else:
-                    self.collision_count += 1
                 members.add(tid)
+                self.collision_count += 1
                 self.colliding_ids.add(tid)
 
     # --- incremental maintenance ----------------------------------------
 
-    def _retarget(self, tid: int, new_rs: int) -> None:
-        # group-size transitions drive the counters: leaving a group of 2
-        # clears collision status for both members, joining a group of 1
-        # sets it for both; sizes >= 3 move a single member's status.
-        old_rs = self.rowsets[tid]
-        groups = self._groups
-        if old_rs == 0:
-            self.uncovered_count -= 1
-            self.uncovered_ids.discard(tid)
-        else:
-            members = groups[old_rs]
-            members.discard(tid)
-            left = len(members)
-            if left == 0:
-                del groups[old_rs]
-            elif left == 1:
-                self.collision_count -= 2
-                self.colliding_ids.discard(tid)
-                self.colliding_ids.discard(next(iter(members)))
-            else:
-                self.collision_count -= 1
-                self.colliding_ids.discard(tid)
-        if new_rs == 0:
-            self.uncovered_count += 1
-            self.uncovered_ids.add(tid)
-        else:
-            members = groups.get(new_rs)
-            if members is None:
-                groups[new_rs] = {tid}
-            else:
-                if len(members) == 1:
-                    self.collision_count += 2
-                    self.colliding_ids.add(next(iter(members)))
-                else:
-                    self.collision_count += 1
-                members.add(tid)
-                self.colliding_ids.add(tid)
-        self.rowsets[tid] = new_rs
-
     def _entry_changed(self, row, i: int, j: int, old_v: int, new_v: int) -> None:
-        """Update after entry (i, j) changed old_v -> new_v; ``row`` already holds new_v."""
+        """Update after entry (i, j) changed old_v -> new_v; ``row`` already holds new_v.
+
+        Each combination containing j yields one interaction t_old that
+        loses row i and one t_new that gains it.  Group-size transitions
+        drive the counters: leaving a group of 2 clears collision status
+        for both members, joining a singleton sets it for both, and sizes
+        >= 3 move a single member's status.
+        """
         bit = 1 << i
         rowsets = self.rowsets
-        if self._pair_base is not None:
-            base = self._pair_base
-            vals = self.model.values
-            vj = vals[j]
-            for j2 in self._others[j]:
-                if j2 < j:
-                    b = base[j2][j] + row[j2] * vj
-                    t_old = b + old_v
-                    t_new = b + new_v
+        groups = self._groups
+        uncovered_ids = self.uncovered_ids
+        colliding_ids = self.colliding_ids
+        u = self.uncovered_count
+        c = self.collision_count
+        for base, stride_j, others in self._partners[j]:
+            for jj, stride in others:
+                base += row[jj] * stride
+            # t_old held row i, so it was covered before the change
+            tid = base + old_v * stride_j
+            rs = rowsets[tid]
+            members = groups.pop(rs)
+            if type(members) is not int:
+                members.discard(tid)
+                if len(members) == 1:
+                    other = members.pop()
+                    groups[rs] = other
+                    c -= 2
+                    colliding_ids.discard(tid)
+                    colliding_ids.discard(other)
                 else:
-                    b = base[j][j2]
-                    v2 = vals[j2]
-                    t_old = b + old_v * v2 + row[j2]
-                    t_new = b + new_v * v2 + row[j2]
-                self._retarget(t_old, rowsets[t_old] & ~bit)
-                self._retarget(t_new, rowsets[t_new] | bit)
-            return
-        catalog = self.catalog
-        t = self.strength
-        for sub in combinations(self._others[j], t - 1):
-            combo = tuple(sorted(sub + (j,)))
-            pos = catalog._combo_pos[combo]
-            stride = catalog.strides[pos]
-            base = catalog.offsets[pos]
-            t_old = base
-            t_new = base
-            for d, jj in enumerate(combo):
-                if jj == j:
-                    t_old += old_v * stride[d]
-                    t_new += new_v * stride[d]
+                    groups[rs] = members
+                    c -= 1
+                    colliding_ids.discard(tid)
+            rs ^= bit
+            rowsets[tid] = rs
+            if rs == 0:
+                u += 1
+                uncovered_ids.add(tid)
+            else:
+                members = groups.setdefault(rs, tid)
+                if members is not tid:  # the row set was taken
+                    if type(members) is int:
+                        groups[rs] = {members, tid}
+                        c += 2
+                        colliding_ids.add(members)
+                        colliding_ids.add(tid)
+                    else:
+                        members.add(tid)
+                        c += 1
+                        colliding_ids.add(tid)
+            # t_new gains row i, so it is covered after the change
+            tid = base + new_v * stride_j
+            rs = rowsets[tid]
+            if rs == 0:
+                u -= 1
+                uncovered_ids.discard(tid)
+            else:
+                members = groups.pop(rs)
+                if type(members) is not int:
+                    members.discard(tid)
+                    if len(members) == 1:
+                        other = members.pop()
+                        groups[rs] = other
+                        c -= 2
+                        colliding_ids.discard(tid)
+                        colliding_ids.discard(other)
+                    else:
+                        groups[rs] = members
+                        c -= 1
+                        colliding_ids.discard(tid)
+            rs |= bit
+            rowsets[tid] = rs
+            members = groups.setdefault(rs, tid)
+            if members is not tid:
+                if type(members) is int:
+                    groups[rs] = {members, tid}
+                    c += 2
+                    colliding_ids.add(members)
+                    colliding_ids.add(tid)
                 else:
-                    t_old += row[jj] * stride[d]
-                    t_new += row[jj] * stride[d]
-            self._retarget(t_old, rowsets[t_old] & ~bit)
-            self._retarget(t_new, rowsets[t_new] | bit)
+                    members.add(tid)
+                    c += 1
+                    colliding_ids.add(tid)
+        self.uncovered_count = u
+        self.collision_count = c
 
     # --- queries ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ so far is the result.
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -212,6 +213,16 @@ def construct(
     )
 
 
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """``fn`` over every job in min(workers, cpu count) processes; results in job order.
+
+    All jobs run whatever the pool size, so a capped pool changes only the
+    wall time, never the results.
+    """
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _construct_worker(args) -> tuple[int, SearchResult]:
     index, model_values, t, params, budget = args
     result = construct(SutModel(model_values), t, params, budget)
@@ -225,9 +236,10 @@ def parallel_construct(
     budget: SearchBudget | None = None,
     workers: int = 1,
 ) -> SearchResult:
-    """Independent restarts in ``workers`` processes; smallest verified-size
-    result wins, ties broken toward the lowest worker index.  Worker i runs
-    a normal construct with child seed derive_seed(seed, "worker:i")."""
+    """``workers`` independent restarts, run in at most cpu-count processes;
+    smallest verified-size result wins, ties broken toward the lowest worker
+    index.  Worker i runs a normal construct with child seed
+    derive_seed(seed, "worker:i")."""
     params = params or AnnealParams()
     budget = budget or SearchBudget()
     if workers <= 1:
@@ -240,17 +252,14 @@ def parallel_construct(
             seed=derive_seed(budget.seed, f"worker:{i}"),
         )
         jobs.append((i, model.values, t, params, wbudget))
-    results: list[tuple[int, SearchResult]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for item in pool.map(_construct_worker, jobs):
-            results.append(item)
+    results: list[tuple[int, SearchResult]] = pool_map(_construct_worker, jobs, workers)
     _, best = min(
         results, key=lambda pair: (pair[1].rows if pair[1].rows is not None else math.inf, pair[0])
     )
     merged = SearchResult(
         array=best.array,
         rows=best.rows,
-        history=[rec for _, res in sorted(results, key=lambda p: p[0]) for rec in res.history],
+        history=[rec for _, res in results for rec in res.history],
         timed_out=best.timed_out,
         elapsed=max(res.elapsed for _, res in results),
         time_to_best=best.time_to_best,

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import locaray.search
 from locaray import SutModel, TestArray
 
 # Printer example: layout(2) size(2) color(2) duplex(3).
@@ -43,3 +46,36 @@ def printer_locating():
 @pytest.fixture
 def printer_covering():
     return TestArray(PRINTER_MODEL, PRINTER_COVERING_ROWS)
+
+
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor: records its size and runs every job
+    in this process, so pool sizing can be tested without spawning."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.jobs = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        self.jobs = list(jobs)
+        return map(fn, self.jobs)
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Every pool the search layer creates, in creation order; the host reports 2 CPUs."""
+    pools = []
+
+    def make(max_workers):
+        pools.append(InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(locaray.search, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pools

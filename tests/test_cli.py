@@ -106,6 +106,26 @@ def test_generate_capacity_exit(capsys, monkeypatch):
     assert "interactions=180" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--timeout", "0"], ["--k-max", "0"], ["--cooling", "1.5"], ["--workers", "0"]],
+    ids=["timeout", "k-max", "cooling", "workers"],
+)
+def test_generate_bad_flag_values_are_usage_errors(capsys, flags):
+    code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err
+
+
+def test_generate_bad_memory_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "abc")
+    code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", "--timeout", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "LOCARAY_MEM_BUDGET_MB" in err
+
+
 def test_generate_deterministic_files(capsys, tmp_path):
     paths = []
     for name in ("a.la", "b.la"):
@@ -206,15 +226,44 @@ def test_bench_single_tiny_instance(capsys, tmp_path):
     assert (tmp_path / "bench.csv.log").exists()
 
 
-def test_bench_empty_suite_yields_header_only(capsys, tmp_path):
+def test_bench_empty_suite_is_usage_error(capsys, tmp_path):
     suite = tmp_path / "empty.txt"
     suite.write_text("# nothing here\n")
     log = tmp_path / "bench.log"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "bench", "--suite", str(suite), "--runs", "1", "--log", str(log)
     )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "no instances" in err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--timeout", "0"], ["--workers", "0"], ["--runs", "0"]], ids=["timeout", "workers", "runs"]
+)
+def test_bench_bad_flag_values_are_usage_errors(capsys, tmp_path, flags):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("tiny,2^3\n")
+    log = tmp_path / "bench.log"
+    code, out, _ = run_cli(capsys, "bench", "--suite", str(suite), "--log", str(log), *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert not log.exists()
+
+
+def test_bench_pool_is_capped_at_cpu_count_and_runs_every_seed(capsys, tmp_path, inline_pools):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("tiny,2^3\n")
+    code, out, _ = run_cli(
+        capsys, "bench", "--suite", str(suite), "--runs", "3", "--workers", "8",
+        "--timeout", "60", "--log", str(tmp_path / "bench.log"),
+    )
     assert code == EXIT_OK
-    assert out.strip() == "name,model,x,y,runs,mean_time_s,mean_rows,min_rows"
+    assert [pool.max_workers for pool in inline_pools] == [2]
+    assert len(inline_pools[0].jobs) == 3
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert row[2:5] == ["3", "3", "3"]
 
 
 def test_bench_counts_respect_x_le_y_le_runs(capsys, tmp_path):

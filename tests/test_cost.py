@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,12 +15,14 @@ from locaray import (
     cost,
     entry_move,
     overwrite_move,
+    parse_model,
     rho,
     random_array,
     uncovered,
     undo_move,
     verify,
 )
+from locaray.cost import _BYTES_PER_INTERACTION
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -199,6 +202,9 @@ def test_walk_keeps_sample_sets_and_groups_equal_to_rebuild():
         assert set(index.colliding_ids._items) == set(rebuilt.colliding_ids._items)
         assert len(index.colliding_ids) == index.collision_count
         assert index._groups == rebuilt._groups
+        # a row set held by one interaction is stored as that bare tid
+        for members in index._groups.values():
+            assert type(members) is int or len(members) >= 2
 
 
 # --- oracle equivalence with the verifier ---------------------------------------
@@ -241,3 +247,24 @@ def test_capacity_env_override(printer_covering, monkeypatch):
         build_index(printer_covering, 2)
     monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "512")
     build_index(printer_covering, 2)
+
+
+@pytest.mark.parametrize("text", ["abc", "-1", "1.5", ""])
+def test_capacity_env_rejects_malformed_budget(printer_covering, monkeypatch, text):
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", text)
+    with pytest.raises(ValueError, match="LOCARAY_MEM_BUDGET_MB"):
+        build_index(printer_covering, 2)
+
+
+def test_capacity_constant_bounds_measured_footprint():
+    # the guard's per-interaction estimate must not undershoot the real index
+    model = parse_model("2^40 3^10")
+    arr = random_array(model, 33, random.Random(1))
+    build_index(arr, 2)  # first build pays one-off allocations outside the index
+    tracemalloc.start()
+    try:
+        index = build_index(arr, 2)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size / len(index.catalog) <= _BYTES_PER_INTERACTION

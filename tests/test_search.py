@@ -241,3 +241,18 @@ def test_budget_validation():
         SearchBudget(max_retries=0)
     with pytest.raises(ValueError):
         SearchBudget(timeout=0)
+
+
+# --- parallel restarts ----------------------------------------------------------
+
+
+def test_parallel_construct_caps_pool_at_cpu_count_and_keeps_results(inline_pools, monkeypatch):
+    model = parse_model("2^3")
+    budget = SearchBudget(timeout=60, seed=4)
+    capped = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=5)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 8)
+    uncapped = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=5)
+    assert [pool.max_workers for pool in inline_pools] == [2, 5]
+    assert [len(pool.jobs) for pool in inline_pools] == [5, 5]
+    assert capped.array == uncapped.array
+    assert [(r.rows, r.success) for r in capped.history] == [(r.rows, r.success) for r in uncapped.history]
