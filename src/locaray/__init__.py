@@ -3,7 +3,7 @@
 A locating array doubles as a combinatorial test suite and a fault locator:
 run each row as a test, and the set of failing rows identifies the single
 faulty t-way interaction (if any).  This package builds small such arrays
-with simulated annealing inside a binary search over the array size, and
+with simulated annealing inside a search over the array size, and
 independently verifies the defining properties of any array.
 """
 
@@ -42,7 +42,6 @@ from .search import (
     ProbeRecord,
     SearchBudget,
     SearchResult,
-    binary_search,
     construct,
     derive_seed,
     initial_bounds,
@@ -69,7 +68,6 @@ __all__ = [
     "TestArray",
     "VerifyReport",
     "apply_move",
-    "binary_search",
     "build_index",
     "collisions",
     "construct",

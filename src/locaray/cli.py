@@ -12,15 +12,7 @@ from importlib import resources
 from .anneal import AnnealParams, STRATEGIES
 from .cost import CapacityError, memory_budget_from_env
 from .model import ModelParseError, load_array, parse_model, save_array, format_array
-from .search import (
-    SearchBudget,
-    _construct_worker,
-    construct,
-    derive_seed,
-    initial_bounds,
-    parallel_construct,
-    pool_map,
-)
+from .search import SearchBudget, construct_runs, derive_seed, initial_bounds, parallel_construct
 from .verify import verify, locate_fault
 
 EXIT_OK = 0
@@ -134,10 +126,7 @@ def cmd_generate(args) -> int:
     _check_run_flags(args)
     params = _params_from(args)
     budget = _usage_checked(SearchBudget, max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
-    if args.workers > 1:
-        result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
-    else:
-        result = construct(model, args.strength, params, budget)
+    result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
     print(f"model={model.spec_text()}")
     print(f"strength={args.strength}")
     print(f"seed={args.seed}")
@@ -280,26 +269,16 @@ def cmd_bench(args) -> int:
 
 def _bench_instance(name, spec, args, log) -> list:
     model = parse_model(spec)
-    params = AnnealParams()
-    runs = []
-    seeds = [derive_seed(args.seed, f"{name}:{r}") for r in range(args.runs)]
-    if args.workers > 1:
-        jobs = [
-            (r, model.values, args.strength, params,
-             SearchBudget(timeout=args.timeout, seed=seeds[r]))
-            for r in range(args.runs)
-        ]
-        runs = [res for _, res in pool_map(_construct_worker, jobs, args.workers)]
-    else:
-        for r in range(args.runs):
-            budget = SearchBudget(timeout=args.timeout, seed=seeds[r])
-            runs.append(construct(model, args.strength, params, budget))
+    budgets = [
+        SearchBudget(timeout=args.timeout, seed=derive_seed(args.seed, f"{name}:{r}")) for r in range(args.runs)
+    ]
+    runs = construct_runs(model, args.strength, AnnealParams(), budgets, args.workers)
 
     finished = [res for res in runs if not res.timed_out]
     produced = [res for res in runs if res.array is not None]
-    for r, res in enumerate(runs):
+    for r, (budget, res) in enumerate(zip(budgets, runs)):
         log.write(
-            f"{name} run={r} seed={seeds[r]} rows={res.rows} timed_out={res.timed_out} "
+            f"{name} run={r} seed={budget.seed} rows={res.rows} timed_out={res.timed_out} "
             f"elapsed={res.elapsed:.1f} time_to_best="
             f"{'-' if res.time_to_best is None else f'{res.time_to_best:.1f}'}\n"
         )

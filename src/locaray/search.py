@@ -1,11 +1,19 @@
-"""Size bounds, binary search over the row count, and the full construction driver.
+"""Size bounds, the outer size search, and restarts of the construction driver.
 
-Construction runs in two phases.  Phase 1 binary-searches the size range
-seeded by the closed-form bound, rerunning the whole binary search (with a
-doubled upper end) until some size succeeds.  Phase 2 then walks the size
-down one row at a time, giving up after a fixed number of consecutive
-failures.  A wall-clock timeout ends either phase; the smallest array found
-so far is the result.
+``construct`` runs simulated annealing again and again at varying sizes, in
+one loop.  Each pass picks the next size by one of three rules:
+
+- while the range [low, high] is not empty, probe its midpoint; a success
+  moves ``high`` below the found size, a failure moves ``low`` past it;
+- when the range is empty and nothing has been found, the heuristic upper
+  bound was too small: double it and search [floor, ceiling] again;
+- when the range is empty and an array has been found, probe one row fewer
+  than the best array, stopping after ``max_retries`` failures in a row or
+  below the lower bound.
+
+A wall-clock timeout ends the search; the smallest array found so far is
+the result.  ``construct_runs`` runs independent restarts, in this process
+or in a process pool.
 """
 
 import hashlib
@@ -13,7 +21,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from random import Random
 
 from .anneal import AnnealParams, sa_run
@@ -86,7 +95,7 @@ class ProbeRecord:
 
 @dataclass
 class SearchBudget:
-    """Driver knobs: Phase-2 consecutive-failure cap, wall-clock timeout, root seed."""
+    """Driver knobs: consecutive-failure cap while shrinking, wall-clock timeout, root seed."""
 
     max_retries: int = 3
     timeout: float = 3600.0
@@ -101,47 +110,16 @@ class SearchBudget:
 
 @dataclass
 class SearchResult:
+    """Smallest array found (None if none), every probe, and the seconds
+    from the start until the search ended (``elapsed``) and until the best
+    array was found (``time_to_best``)."""
+
     array: TestArray | None
     rows: int | None
     history: list[ProbeRecord] = field(default_factory=list)
     timed_out: bool = False
     elapsed: float = 0.0
     time_to_best: float | None = None
-
-
-def binary_search(
-    low: int,
-    high: int,
-    model: SutModel,
-    t: int,
-    params: AnnealParams,
-    seeds: SeedStream,
-    deadline: float | None = None,
-    history: list[ProbeRecord] | None = None,
-) -> TestArray | None:
-    """Binary search over the size range; smallest array found, or None.
-
-    Each probe at size floor((low+high)/2) runs one annealing attempt; a
-    success moves ``high`` below the found size, a failure raises ``low``
-    past it.  A deadline stops probing and returns the best so far.
-    """
-    best = None
-    while low <= high:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        size = (low + high) // 2
-        started = time.monotonic()
-        found = sa_run(model, t, size, params, seeds.next_rng(), deadline)
-        if history is not None:
-            history.append(ProbeRecord(size, found is not None, time.monotonic() - started))
-        if found is not None:
-            best = found
-            high = size - 1
-        else:
-            if deadline is not None and time.monotonic() >= deadline:
-                break  # failure caused by the deadline, not evidence about the size
-            low = size + 1
-    return best
 
 
 def construct(
@@ -162,46 +140,42 @@ def construct(
     deadline = started + budget.timeout
     history: list[ProbeRecord] = []
 
-    low, high = initial_bounds(model, t)
+    floor, ceiling = initial_bounds(model, t)
+    low, high = floor, ceiling
     best: TestArray | None = None
     best_at: float | None = None
+    failures = 0  # consecutive failures one row below the best array
     timed_out = False
 
-    # Phase 1: repeat the binary search until some size succeeds; a fully
-    # failed pass means the heuristic upper bound was likely too small, so
-    # double it before retrying.
-    while best is None:
+    while True:
+        bisecting = low <= high
+        if bisecting:
+            size = (low + high) // 2
+        elif best is None:
+            ceiling *= 2
+            low, high = floor, ceiling
+            continue
+        else:
+            size = best.m - 1
+            if failures >= budget.max_retries or size < floor:
+                break
         if time.monotonic() >= deadline:
             timed_out = True
             break
-        best = binary_search(low, high, model, t, params, seeds, deadline, history)
-        if best is not None:
-            best_at = time.monotonic() - started
-        elif time.monotonic() < deadline:
-            high *= 2
-
-    # Phase 2: shrink one row at a time until max_retries consecutive
-    # failures, never probing below the lower bound.
-    if best is not None:
-        failures = 0
-        size = best.m - 1
-        while failures < budget.max_retries and low <= size:
-            if time.monotonic() >= deadline:
-                timed_out = True
-                break
-            probe_start = time.monotonic()
-            found = sa_run(model, t, size, params, seeds.next_rng(), deadline)
-            history.append(ProbeRecord(size, found is not None, time.monotonic() - probe_start))
-            if found is not None:
-                best = found
-                best_at = time.monotonic() - started
-                failures = 0
-                size -= 1
-            elif time.monotonic() >= deadline:
-                timed_out = True
-                break
-            else:
-                failures += 1
+        probe_start = time.monotonic()
+        found = sa_run(model, t, size, params, seeds.next_rng(), deadline)
+        history.append(ProbeRecord(size, found is not None, time.monotonic() - probe_start))
+        if found is not None:
+            best, best_at = found, time.monotonic() - started
+            high = size - 1  # while shrinking, low is above it: the range stays empty
+            failures = 0
+        elif time.monotonic() >= deadline:
+            timed_out = True  # the failure says nothing about the size
+            break
+        elif bisecting:
+            low = size + 1
+        else:
+            failures += 1
 
     return SearchResult(
         array=best,
@@ -213,20 +187,23 @@ def construct(
     )
 
 
-def pool_map(fn, jobs: list, workers: int) -> list:
-    """``fn`` over every job in min(workers, cpu count) processes; results in job order.
+def construct_runs(
+    model: SutModel,
+    t: int,
+    params: AnnealParams,
+    budgets: list[SearchBudget],
+    workers: int,
+) -> list[SearchResult]:
+    """One ``construct`` per budget, results in budget order.
 
-    All jobs run whatever the pool size, so a capped pool changes only the
-    wall time, never the results.
+    Runs in this process when ``workers <= 1``, otherwise in
+    min(workers, cpu count) processes.  Every budget runs whatever the pool
+    size, so a capped pool changes only the wall time, never the results.
     """
+    if workers <= 1:
+        return [construct(model, t, params, budget) for budget in budgets]
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _construct_worker(args) -> tuple[int, SearchResult]:
-    index, model_values, t, params, budget = args
-    result = construct(SutModel(model_values), t, params, budget)
-    return index, result
+        return list(pool.map(partial(construct, model, t, params), budgets))
 
 
 def parallel_construct(
@@ -244,24 +221,14 @@ def parallel_construct(
     budget = budget or SearchBudget()
     if workers <= 1:
         return construct(model, t, params, budget)
-    jobs = []
-    for i in range(workers):
-        wbudget = SearchBudget(
-            max_retries=budget.max_retries,
-            timeout=budget.timeout,
-            seed=derive_seed(budget.seed, f"worker:{i}"),
-        )
-        jobs.append((i, model.values, t, params, wbudget))
-    results: list[tuple[int, SearchResult]] = pool_map(_construct_worker, jobs, workers)
-    _, best = min(
-        results, key=lambda pair: (pair[1].rows if pair[1].rows is not None else math.inf, pair[0])
-    )
-    merged = SearchResult(
+    budgets = [replace(budget, seed=derive_seed(budget.seed, f"worker:{i}")) for i in range(workers)]
+    results = construct_runs(model, t, params, budgets, workers)
+    best = min(results, key=lambda res: res.rows if res.rows is not None else math.inf)
+    return SearchResult(
         array=best.array,
         rows=best.rows,
-        history=[rec for _, res in results for rec in res.history],
-        timed_out=best.timed_out,
-        elapsed=max(res.elapsed for _, res in results),
+        history=[rec for res in results for rec in res.history],
+        timed_out=any(res.timed_out for res in results),
+        elapsed=max(res.elapsed for res in results),
         time_to_best=best.time_to_best,
     )
-    return merged

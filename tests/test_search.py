@@ -9,7 +9,6 @@ from locaray import (
     SearchBudget,
     SutModel,
     TestArray,
-    binary_search,
     construct,
     derive_seed,
     initial_bounds,
@@ -95,7 +94,7 @@ def test_initial_bounds_uniform_model():
     assert high == tang_lower_bound(4, 2, 4)
 
 
-# --- binary search (with a stubbed annealing run) --------------------------------
+# --- the probe loop (with a stubbed annealing run) ------------------------------
 
 
 def make_stub(succeeds, model=SutModel((2, 2)), calls=None):
@@ -109,26 +108,136 @@ def make_stub(succeeds, model=SutModel((2, 2)), calls=None):
     return stub
 
 
-def test_binary_search_probe_sequence(monkeypatch):
+class FakeClock:
+    """Stands in for the ``time`` module: the clock moves only when a probe runs."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def run_scripted(monkeypatch, bounds, succeeds, max_retries=3, timeout=60.0):
+    """construct over a stubbed sa_run that takes one fake second per probe;
+    ``succeeds(m, n)`` decides the n-th probe (1-based) at size m."""
+    clock = FakeClock()
     calls = []
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: m >= 8, calls=calls))
-    result = binary_search(1, 15, SutModel((2, 2)), 2, AnnealParams(), SeedStream(0))
-    assert calls == [8, 4, 6, 7]
-    assert result is not None and result.m == 8
+
+    def stub(model, t, m, params, rng, deadline=None):
+        clock.now += 1.0
+        calls.append(m)
+        return TestArray(model, [[0, 0]] * m) if succeeds(m, len(calls)) else None
+
+    monkeypatch.setattr(search_module, "time", clock)
+    monkeypatch.setattr(search_module, "sa_run", stub)
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: bounds)
+    budget = SearchBudget(max_retries=max_retries, timeout=timeout, seed=0)
+    return construct(SutModel((2, 2)), 2, budget=budget)
 
 
-def test_binary_search_empty_range(monkeypatch):
-    calls = []
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: True, calls=calls))
-    assert binary_search(9, 5, SutModel((2, 2)), 2, AnnealParams(), SeedStream(0)) is None
-    assert calls == []
+# Probe sequences recorded from the three-loop driver (binary search, doubling,
+# shrink) that the single probe loop replaced: same sizes, outcomes, result.
+PROBE_LOCK = {
+    "bisect": dict(
+        bounds=(1, 31), succeeds=lambda m, n: m >= 13,
+        history=[(16, 1), (8, 0), (12, 0), (14, 1), (13, 1), (12, 0), (12, 0), (12, 0)],
+        rows=13, timed_out=False,
+    ),
+    "widen-once": dict(
+        bounds=(3, 5), succeeds=lambda m, n: m >= 8,
+        history=[(4, 0), (5, 0), (6, 0), (8, 1), (7, 0), (7, 0), (7, 0), (7, 0)],
+        rows=8, timed_out=False,
+    ),
+    "widen-twice": dict(
+        bounds=(3, 5), succeeds=lambda m, n: m >= 20,
+        history=[(4, 0), (5, 0), (6, 0), (8, 0), (9, 0), (10, 0), (11, 0), (16, 0), (18, 0),
+                 (19, 0), (20, 1), (19, 0), (19, 0), (19, 0)],
+        rows=20, timed_out=False,
+    ),
+    "empty-range": dict(
+        bounds=(9, 5), succeeds=lambda m, n: m >= 10,
+        history=[(9, 0), (10, 1), (9, 0), (9, 0), (9, 0)],
+        rows=10, timed_out=False,
+    ),
+    "empty-range-success-at-floor": dict(
+        bounds=(9, 5), succeeds=lambda m, n: True,
+        history=[(9, 1)],
+        rows=9, timed_out=False,
+    ),
+    "retries-1": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 8, max_retries=1,
+        history=[(8, 1), (4, 0), (6, 0), (7, 0), (7, 0)],
+        rows=8, timed_out=False,
+    ),
+    "retries-3": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 8, max_retries=3,
+        history=[(8, 1), (4, 0), (6, 0), (7, 0), (7, 0), (7, 0), (7, 0)],
+        rows=8, timed_out=False,
+    ),
+    "shrink-success-resets-failures": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 8 or n == 6, max_retries=2,
+        history=[(8, 1), (4, 0), (6, 0), (7, 0), (7, 0), (7, 1), (6, 0), (6, 0)],
+        rows=7, timed_out=False,
+    ),
+    "shrink-stops-at-floor": dict(
+        bounds=(3, 9), succeeds=lambda m, n: True,
+        history=[(6, 1), (4, 1), (3, 1)],
+        rows=3, timed_out=False,
+    ),
+    "deadline-bisecting-no-best": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 14, timeout=1.5,
+        history=[(8, 0), (12, 0)],
+        rows=None, timed_out=True,
+    ),
+    "deadline-widening-no-best": dict(
+        bounds=(3, 5), succeeds=lambda m, n: m >= 20, timeout=2.0,
+        history=[(4, 0), (5, 0)],
+        rows=None, timed_out=True,
+    ),
+    "deadline-bisecting-with-best": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 8, timeout=2.5,
+        history=[(8, 1), (4, 0), (6, 0)],
+        rows=8, timed_out=True,
+    ),
+    "deadline-after-success-while-bisecting": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 4, timeout=2.0,
+        history=[(8, 1), (4, 1)],
+        rows=4, timed_out=True,
+    ),
+    "deadline-after-last-success-at-floor": dict(
+        bounds=(3, 9), succeeds=lambda m, n: True, timeout=2.5,
+        history=[(6, 1), (4, 1), (3, 1)],
+        rows=3, timed_out=False,
+    ),
+    "deadline-shrinking": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 8, timeout=5.5,
+        history=[(8, 1), (4, 0), (6, 0), (7, 0), (7, 0), (7, 0)],
+        rows=8, timed_out=True,
+    ),
+    "deadline-after-success-while-shrinking": dict(
+        bounds=(1, 15), succeeds=lambda m, n: m >= 8 or n == 5, timeout=5.0,
+        history=[(8, 1), (4, 0), (6, 0), (7, 0), (7, 1)],
+        rows=7, timed_out=True,
+    ),
+}
 
 
-def test_binary_search_probes_stay_within_range(monkeypatch):
+@pytest.mark.parametrize("case", list(PROBE_LOCK), ids=list(PROBE_LOCK))
+def test_construct_probe_sequence_is_locked(monkeypatch, case):
+    spec = dict(PROBE_LOCK[case])
+    history, rows, timed_out = spec.pop("history"), spec.pop("rows"), spec.pop("timed_out")
+    result = run_scripted(monkeypatch, **spec)
+    assert [(rec.rows, int(rec.success)) for rec in result.history] == history
+    assert result.rows == rows
+    assert result.timed_out is timed_out
+
+
+def test_construct_never_probes_below_floor(monkeypatch):
     rng = random.Random(6)
-    for _ in range(50):
-        low = rng.randint(1, 30)
-        high = rng.randint(low - 1, 40)
+    for _ in range(200):
+        floor = rng.randint(1, 30)
+        ceiling = rng.randint(floor - 1, 40)
         calls = []
         outcomes = {}
 
@@ -137,17 +246,22 @@ def test_binary_search_probes_stay_within_range(monkeypatch):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_module, "sa_run", make_stub(flaky, calls=calls))
-            binary_search(low, high, SutModel((2, 2)), 2, AnnealParams(), SeedStream(0))
-        assert all(low <= m <= high for m in calls)
+            mp.setattr(search_module, "initial_bounds", lambda model, t: (floor, ceiling))
+            budget = SearchBudget(max_retries=rng.randint(1, 4), timeout=60, seed=0)
+            construct(SutModel((2, 2)), 2, budget=budget)
+        assert calls and all(m >= floor for m in calls)
+        # the range widens past the ceiling only after a pass found nothing
+        above = [i for i, m in enumerate(calls) if m > ceiling]
+        if above:
+            assert not any(outcomes[m] for m in calls[: above[0]])
 
 
-def test_binary_search_records_history(monkeypatch):
-    history = []
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: m >= 8))
-    binary_search(1, 15, SutModel((2, 2)), 2, AnnealParams(), SeedStream(0), history=history)
-    assert [(rec.rows, rec.success) for rec in history] == [
-        (8, True), (4, False), (6, False), (7, False),
-    ]
+def test_construct_time_to_best_is_when_the_best_array_was_found(monkeypatch):
+    # probes 8 ok, 4 6 7 fail, then 7 fails three times; one fake second each
+    result = run_scripted(monkeypatch, (1, 15), lambda m, n: m >= 8)
+    assert [rec.rows for rec in result.history] == [8, 4, 6, 7, 7, 7, 7]
+    assert result.time_to_best == 1.0
+    assert result.elapsed == 7.0
 
 
 # --- the two-phase driver ----------------------------------------------------------
@@ -256,3 +370,33 @@ def test_parallel_construct_caps_pool_at_cpu_count_and_keeps_results(inline_pool
     assert [len(pool.jobs) for pool in inline_pools] == [5, 5]
     assert capped.array == uncapped.array
     assert [(r.rows, r.success) for r in capped.history] == [(r.rows, r.success) for r in uncapped.history]
+
+
+def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monkeypatch):
+    model = SutModel((2, 2))
+    budget = SearchBudget(timeout=60, seed=4)
+    winner_seed = derive_seed(4, "worker:0")
+
+    def restart(model_arg, t, params, wbudget):
+        # worker 0 finishes with 4 rows; worker 1 runs out of time with 5
+        if wbudget.seed == winner_seed:
+            return search_module.SearchResult(TestArray(model, [[0, 0]] * 4), 4, timed_out=False)
+        return search_module.SearchResult(TestArray(model, [[0, 0]] * 5), 5, timed_out=True)
+
+    monkeypatch.setattr(search_module, "construct", restart)
+    result = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=2)
+    assert result.rows == 4
+    assert result.timed_out
+
+
+def test_construct_runs_returns_one_result_per_budget_in_order(inline_pools):
+    model = parse_model("2^3")
+    budgets = [SearchBudget(timeout=60, seed=seed) for seed in (5, 1, 3)]
+    serial = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=1)
+    assert inline_pools == []  # one worker runs in this process
+    pooled = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=3)
+    assert [pool.jobs for pool in inline_pools] == [budgets]
+    for budget, a, b in zip(budgets, serial, pooled):
+        alone = construct(model, 2, AnnealParams(), budget)
+        assert a.array == b.array == alone.array
+        assert [(r.rows, r.success) for r in a.history] == [(r.rows, r.success) for r in alone.history]
