@@ -12,6 +12,10 @@ one interaction has that row set, and becomes a set once two or more share
 it; most interactions of a nearly locating array are alone in their group,
 so a retarget usually moves one dict slot and touches no set.
 
+The build fills every row set at once with a column-mask kernel: one mask
+of rows per (factor, value), and each interaction's row set is the AND of
+the masks of its t pairs, about |I_t| big-int ANDs in all.
+
 A single entry change (row i, factor j) can only affect interactions
 containing factor j whose other pairs match row i, so a move touches
 O(C(k-1, t-1)) interactions rather than all of I_t.  The index finds them
@@ -142,7 +146,7 @@ class CoverageIndex:
         self.strength = t
         self.m = array.m
         self.catalog = enumerate_interactions(model, t)
-        self.rowsets: list[int] = [0] * n
+        self.rowsets: list[int] = []
         self.uncovered_count = 0
         self.collision_count = 0
         self.uncovered_ids = _SampleSet()
@@ -174,15 +178,20 @@ class CoverageIndex:
         return [tuple(entries) for entries in tables]
 
     def _build(self, array: TestArray) -> None:
-        rowsets = self.rowsets
-        catalog = self.catalog
+        # masks[j][v]: the rows holding value v at factor j; a row set is the
+        # AND of its pairs' masks, extended factor by factor with the last
+        # factor varying fastest, which is the catalog's mixed-radix order
+        masks = [[0] * v for v in self.model.values]
         for i, row in enumerate(array.rows):
             bit = 1 << i
-            for pos, combo in enumerate(catalog.combos):
-                idx = catalog.offsets[pos]
-                for d, j in enumerate(combo):
-                    idx += row[j] * catalog.strides[pos][d]
-                rowsets[idx] |= bit
+            for j, value in enumerate(row):
+                masks[j][value] |= bit
+        rowsets = self.rowsets
+        for combo in self.catalog.combos:
+            sets = masks[combo[0]]
+            for j in combo[1:]:
+                sets = [a & b for a in sets for b in masks[j]]
+            rowsets += sets
         groups = self._groups
         for tid, rs in enumerate(rowsets):
             if rs == 0:

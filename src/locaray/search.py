@@ -197,12 +197,13 @@ def construct_runs(
     """One ``construct`` per budget, results in budget order.
 
     Runs in this process when ``workers <= 1``, otherwise in
-    min(workers, cpu count) processes.  Every budget runs whatever the pool
-    size, so a capped pool changes only the wall time, never the results.
+    min(workers, cpu count, number of budgets) processes.  Every budget runs
+    whatever the pool size, so a capped pool changes only the wall time,
+    never the results.
     """
-    if workers <= 1:
+    if workers <= 1 or not budgets:
         return [construct(model, t, params, budget) for budget in budgets]
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1, len(budgets))) as pool:
         return list(pool.map(partial(construct, model, t, params), budgets))
 
 

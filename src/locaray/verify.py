@@ -1,17 +1,23 @@
-"""Definition-literal verifier for covering/locating properties, plus fault localization.
+"""Verifier for covering/locating properties, plus fault localization.
 
-This module is the independent oracle: it recomputes every covering row set
-directly from the definition and never touches the incremental machinery in
-``locaray.cost``.  An array of strength t is *covering* when every t-way
-interaction is covered by at least one row, and *locating* (for at most one
-fault) when, in addition, no two distinct t-way interactions share the same
-covering row set.
+This module is the independent oracle: it computes every covering row set
+from the array with its own column-mask kernel and never touches the
+incremental machinery in ``locaray.cost``.  An array of strength t is
+*covering* when every t-way interaction is covered by at least one row, and
+*locating* (for at most one fault) when, in addition, no two distinct t-way
+interactions share the same covering row set.
+
+The kernel keeps one bit mask of rows per (factor, value), bit i set when
+row i + 1 holds that value.  The row set of an interaction is the AND of
+the masks of its t pairs, so a whole catalog of row sets costs about |I_t|
+big-int ANDs instead of |I_t| * m row scans.  ``Interaction`` objects are
+built only for what a report or a fault query returns.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .model import Interaction, TestArray, covers, enumerate_interactions
+from .model import Interaction, TestArray, enumerate_interactions
 
 
 @dataclass
@@ -35,43 +41,70 @@ class VerifyReport:
     collisions_truncated: bool = False
 
 
+def _column_masks(array: TestArray) -> list[list[int]]:
+    """masks[j][v]: bit i set iff row i (0-based) has value v at factor j."""
+    masks = [[0] * v for v in array.model.values]
+    for i, row in enumerate(array.rows):
+        bit = 1 << i
+        for j, value in enumerate(row):
+            masks[j][value] |= bit
+    return masks
+
+
+def _row_sets(array: TestArray, catalog) -> list[int]:
+    """Covering row set of every catalog interaction, in catalog order.
+
+    Extending a combination's partial ANDs one factor at a time, the last
+    factor varying fastest, walks its values in the catalog's mixed radix.
+    """
+    masks = _column_masks(array)
+    rowsets: list[int] = []
+    for combo in catalog.combos:
+        sets = masks[combo[0]]
+        for j in combo[1:]:
+            sets = [a & b for a in sets for b in masks[j]]
+        rowsets += sets
+    return rowsets
+
+
+def _rows(bits: int) -> frozenset[int]:
+    """1-based row indices of a row-set mask."""
+    return frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+
 def verify(array: TestArray, t: int, max_collision_pairs: int | None = None) -> VerifyReport:
     """Check the covering and locating properties of ``array`` at strength ``t``.
 
-    Row sets are computed per interaction by scanning the rows, then grouped
-    by value; every group of size g contributes all C(g, 2) colliding pairs.
-    ``max_collision_pairs`` caps only the materialized pair list (callers
-    with pathological inputs), never the reported count.
+    Interactions are grouped by covering row set; every group of size g
+    contributes all C(g, 2) colliding pairs.  ``max_collision_pairs`` caps
+    only the materialized pair list (callers with pathological inputs),
+    never the reported count.
     """
     if not 1 <= t <= array.model.k:
         raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
     catalog = enumerate_interactions(array.model, t)
 
-    groups: dict[frozenset[int], list[Interaction]] = {}
-    uncovered: list[Interaction] = []
-    for interaction in catalog:
-        rows = frozenset(
-            i
-            for i, row in enumerate(array.rows, start=1)
-            if covers(row, interaction)
-        )
-        groups.setdefault(rows, []).append(interaction)
-        if not rows:
-            uncovered.append(interaction)
+    groups: dict[int, list[int]] = {}
+    for tid, bits in enumerate(_row_sets(array, catalog)):
+        groups.setdefault(bits, []).append(tid)
+    interaction = catalog.interaction_at
+    uncovered = [interaction(tid) for tid in groups.get(0, ())]
 
     collision_count = sum(
         len(members) * (len(members) - 1) // 2 for members in groups.values()
     )
+    listed = collision_count if max_collision_pairs is None else min(collision_count, max_collision_pairs)
     collisions: list[tuple[Interaction, Interaction, frozenset[int]]] = []
-    truncated = False
-    for rows, members in groups.items():
-        if len(members) < 2 or truncated:
+    for bits, members in groups.items():
+        room = listed - len(collisions)
+        if room <= 0:
+            break
+        if len(members) < 2:
             continue
-        for a, b in itertools.combinations(members, 2):
-            if max_collision_pairs is not None and len(collisions) >= max_collision_pairs:
-                truncated = True
-                break
-            collisions.append((a, b, rows))
+        # a group's first `room` pairs pair up only its first room + 1 members
+        pairs = itertools.combinations([interaction(tid) for tid in members[: room + 1]], 2)
+        rows = _rows(bits)
+        collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, room))
 
     is_covering = not uncovered
     is_locating_exact1 = collision_count == 0
@@ -83,7 +116,7 @@ def verify(array: TestArray, t: int, max_collision_pairs: int | None = None) -> 
         uncovered=uncovered,
         collisions=collisions,
         collision_count=collision_count,
-        collisions_truncated=truncated,
+        collisions_truncated=len(collisions) < collision_count,
     )
 
 
@@ -94,6 +127,10 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
     a locating array the result has at most one element for a non-empty
     failing set; an empty failing set means no fault and yields [].  The
     caller is responsible for having verified the array first.
+
+    An interaction covering every failing row agrees with the first of
+    them, so each factor combination has one candidate: the first failing
+    row's values on it.  Its row set is compared with the failing mask.
     """
     failing = frozenset(failing)
     for i in failing:
@@ -101,11 +138,16 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
             raise ValueError(f"failing row index {i} out of range 1..{array.m}")
     if not failing:
         return []
+    target = 0
+    for i in failing:
+        target |= 1 << (i - 1)
+    row = array.rows[min(failing) - 1]
+    masks = _column_masks(array)
     hits = []
-    for interaction in enumerate_interactions(array.model, t):
-        rows = frozenset(
-            i for i, row in enumerate(array.rows, start=1) if covers(row, interaction)
-        )
-        if rows == failing:
-            hits.append(interaction)
+    for combo in enumerate_interactions(array.model, t).combos:
+        bits = -1  # every row
+        for j in combo:
+            bits &= masks[j][row[j]]
+        if bits == target:
+            hits.append(Interaction(tuple((j, row[j]) for j in combo)))
     return hits

@@ -6,6 +6,7 @@ is deterministic on a given build: the construct driver is seed-reproducible
 and the stated timeouts leave two orders of magnitude of headroom.
 """
 
+import gc
 import random
 import statistics
 
@@ -26,12 +27,15 @@ from locaray import (
     locate_fault,
     parse_model,
     random_array,
+    rho,
     tang_lower_bound,
     undo_move,
     verify,
 )
 from locaray.cost import entry_move, overwrite_move
+from locaray.model import enumerate_interactions
 from tests.conftest import PRINTER_COVERING_ROWS, PRINTER_LOCATING_ROWS, PRINTER_MODEL
+from tests.literal_oracle import literal_locate_fault, literal_verify
 
 SEED_ROOT = 7
 
@@ -192,13 +196,35 @@ def _random_case(rng):
 @pytest.mark.slow
 def test_criterion_8_oracle_equivalence():
     rng = random.Random(_seed("c8:arrays"))
+    # queries come from their own stream, so the arrays stay those of rng alone
+    queries = random.Random(_seed("c8:queries"))
     mismatches = 0
-    for _ in range(1000):
-        model, t, array = _random_case(rng)
-        index = build_index(array, t)
-        if (cost(index, 1.0) == 0) != verify(array, t).is_locating_1bar:
-            mismatches += 1
+    oracle_diffs = 0
+    # uncapped reports list up to millions of pairs, and the cyclic collector
+    # would rescan them on every allocation burst; they hold no cycles
+    gc.disable()
+    try:
+        for _ in range(1000):
+            model, t, array = _random_case(rng)
+            index = build_index(array, t)
+            report = verify(array, t)
+            if (cost(index, 1.0) == 0) != report.is_locating_1bar:
+                mismatches += 1
+            cap = queries.randint(0, 5)
+            catalog = enumerate_interactions(model, t)
+            failing_sets = [rho(array, catalog.interaction_at(queries.randrange(len(catalog)))) for _ in range(3)]
+            failing_sets.append(frozenset(i for i in range(1, array.m + 1) if queries.random() < 0.5))
+            if (
+                report != literal_verify(array, t)
+                or verify(array, t, max_collision_pairs=cap) != literal_verify(array, t, max_collision_pairs=cap)
+                or any(locate_fault(array, f, t) != literal_locate_fault(array, f, t) for f in failing_sets)
+            ):
+                oracle_diffs += 1
+            del report
+    finally:
+        gc.enable()
     ok_equiv = mismatches == 0
+    ok_oracle = oracle_diffs == 0
 
     rng = random.Random(_seed("c8:moves"))
     drift = 0
@@ -230,8 +256,9 @@ def test_criterion_8_oracle_equivalence():
     _report(
         8,
         f"cost==0 iff verifier accepts (1000 random arrays, {mismatches} mismatches); "
+        f"mask verifier and locator equal the literal ones ({oracle_diffs} arrays differ); "
         f"incremental index equals rebuild after 1000 move walks ({drift} drifted)",
-        ok_equiv and ok_incremental,
+        ok_equiv and ok_oracle and ok_incremental,
     )
 
 

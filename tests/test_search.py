@@ -400,3 +400,11 @@ def test_construct_runs_returns_one_result_per_budget_in_order(inline_pools):
         alone = construct(model, 2, AnnealParams(), budget)
         assert a.array == b.array == alone.array
         assert [(r.rows, r.success) for r in a.history] == [(r.rows, r.success) for r in alone.history]
+
+
+def test_construct_runs_forks_no_more_processes_than_budgets(inline_pools):
+    model = parse_model("2^3")
+    budget = SearchBudget(timeout=60, seed=5)
+    (pooled,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=2)
+    assert [pool.max_workers for pool in inline_pools] == [1]
+    assert pooled.array == construct(model, 2, AnnealParams(), budget).array

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from locaray import (
@@ -6,9 +8,11 @@ from locaray import (
     TestArray,
     enumerate_interactions,
     locate_fault,
+    random_array,
     rho,
     verify,
 )
+from tests.literal_oracle import literal_locate_fault, literal_verify
 
 FAULTY_PAIR = Interaction(((1, 1), (2, 1)))  # (size=A5, color=No)
 
@@ -126,3 +130,26 @@ def test_locate_fault_may_be_ambiguous_on_non_locating_array(printer_covering):
     # on the covering-only array a failing set can match several interactions
     ambiguous = locate_fault(printer_covering, {3}, 2)
     assert len(ambiguous) >= 2
+
+
+# --- mask widths ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 63, 64, 65, 130])
+def test_mask_kernel_matches_literal_scan_across_word_boundaries(m, t):
+    # row i is bit i-1 of an int mask, so 64 and 65 rows straddle a machine word
+    model = SutModel((2, 3, 2, 4))
+    rng = random.Random(f"widths:{m}:{t}")
+    uniform = random_array(model, 1, rng).rows * m
+    if m:
+        uniform[-1] = random_array(model, 1, rng).rows[0]  # row sets differ in the top bit only
+    catalog = enumerate_interactions(model, t)
+    for array in (random_array(model, m, rng), TestArray(model, uniform)):
+        assert verify(array, t) == literal_verify(array, t)
+        assert verify(array, t, max_collision_pairs=4) == literal_verify(array, t, max_collision_pairs=4)
+        failing_sets = [rho(array, catalog.interaction_at(rng.randrange(len(catalog)))) for _ in range(6)]
+        failing_sets += [frozenset({i}) for i in (1, 63, 64, 65, 130) if i <= m]
+        failing_sets.append(frozenset(range(1, m + 1)))
+        for failing in failing_sets:
+            assert locate_fault(array, failing, t) == literal_locate_fault(array, failing, t)
