@@ -64,6 +64,13 @@ def _random_other_value(rng: Random, domain: int, current: int) -> int:
     return v + 1 if v >= current else v
 
 
+def _nth_row(bits: int, n: int) -> int:
+    """The row of the n-th lowest set bit of a row mask, counting from 0."""
+    for _ in range(n):
+        bits &= bits - 1  # peel the lowest set bit
+    return (bits & -bits).bit_length() - 1
+
+
 def select_neighbor_baseline(array: TestArray, rng: Random) -> Move:
     """Change one uniformly random entry to a uniformly random other value."""
     if array.m == 0:
@@ -95,21 +102,19 @@ def select_neighbor_proposed(array: TestArray, index: CoverageIndex, rng: Random
     tid = index.colliding_ids.pick(rng)
     interaction = index.catalog.interaction_at(tid)
     bits = index.rowset_bits(tid)
-    covering = [i for i in range(array.m) if (bits >> i) & 1]
-    outside = array.m - len(covering)
-    if len(covering) > 1:
+    covering = bits.bit_count()
+    outside = array.m - covering
+    if covering > 1:
         # no row left to overwrite forces the alter branch
         alter = outside == 0 or rng.getrandbits(1) == 1
     else:
         alter = outside == 0
     if alter:
-        i = covering[rng.randrange(len(covering))]
+        i = _nth_row(bits, rng.randrange(covering))
         j = interaction.factors[rng.randrange(interaction.strength)]
         v = _random_other_value(rng, array.model.values[j], array.rows[i][j])
         return entry_move(array, i, j, v, interaction=interaction)
-    skip = frozenset(covering)
-    others = [i for i in range(array.m) if i not in skip]
-    i = others[rng.randrange(len(others))]
+    i = _nth_row(~bits & ((1 << array.m) - 1), rng.randrange(outside))
     return overwrite_move(array, i, interaction)
 
 

@@ -22,7 +22,12 @@ O(C(k-1, t-1)) interactions rather than all of I_t.  The index finds them
 through per-factor partner tables built once from the catalog: for every
 factor combination containing j, its block offset, j's stride and the
 (factor, stride) pairs of the other factors.  The same path serves every
-strength.
+strength.  Each interaction touched loses or gains row i, so one toggle
+loop, which XORs the row bit, updates both kinds.
+
+``apply_move`` logs the tids each entry change toggled, and ``undo_move``
+replays that log rather than walking the partner tables again.  So an
+undo reverts only the last move applied; any other move raises.
 """
 
 import os
@@ -129,8 +134,9 @@ class CoverageIndex:
     """Covering row sets of every strength-t interaction of one array.
 
     Bound to a single search run; mutated in lock step with its array via
-    ``apply_move``/``undo_move``.  ``uncovered_count`` and
-    ``collision_count`` are the two cost components.
+    ``apply_move``/``undo_move``, where an undo reverts the last move
+    applied.  ``uncovered_count`` and ``collision_count`` are the two cost
+    components.
     """
 
     def __init__(self, array: TestArray, t: int, memory_budget_mb: int | None = None):
@@ -154,6 +160,9 @@ class CoverageIndex:
         # row set -> the tid holding it, or the set of tids once two or more share it
         self._groups: dict[int, int | set[int]] = {}
         self._partners = self._partner_tables()
+        # the last move applied and the tids each of its entry changes toggled
+        self._last_move: Move | None = None
+        self._last_tids: list[list[int]] = []
 
         self._build(array)
 
@@ -213,91 +222,89 @@ class CoverageIndex:
 
     # --- incremental maintenance ----------------------------------------
 
-    def _entry_changed(self, row, i: int, j: int, old_v: int, new_v: int) -> None:
+    def _entry_changed(self, row, i: int, j: int, old_v: int, new_v: int) -> list[int]:
         """Update after entry (i, j) changed old_v -> new_v; ``row`` already holds new_v.
 
-        Each combination containing j yields one interaction t_old that
-        loses row i and one t_new that gains it.  Group-size transitions
-        drive the counters: leaving a group of 2 clears collision status
-        for both members, joining a singleton sets it for both, and sizes
-        >= 3 move a single member's status.
+        Each combination containing j yields one interaction that loses row
+        i and one that gains it.  Returns the toggled tids, ``[loses_0,
+        gains_0, loses_1, gains_1, ...]`` in partner-table order.
         """
-        bit = 1 << i
-        rowsets = self.rowsets
-        groups = self._groups
-        uncovered_ids = self.uncovered_ids
-        colliding_ids = self.colliding_ids
-        u = self.uncovered_count
-        c = self.collision_count
+        tids = []
         for base, stride_j, others in self._partners[j]:
             for jj, stride in others:
                 base += row[jj] * stride
-            # t_old held row i, so it was covered before the change
-            tid = base + old_v * stride_j
+            tids.append(base + old_v * stride_j)
+            tids.append(base + new_v * stride_j)
+        self._toggle(1 << i, tids)
+        return tids
+
+    def _toggle(self, bit: int, tids: list[int]) -> None:
+        """Flip ``bit`` in the row set of each tid, in order.
+
+        A tid leaves its group, or the uncovered set, and joins the group of
+        its new row set, or the uncovered set.  Group-size transitions drive
+        the counters: leaving a group of 2 clears collision status for both
+        members, joining a singleton sets it for both, and sizes >= 3 move a
+        single member's status.  The sample sets' add/discard is inlined:
+        append, and swap the last item into the freed slot.
+        """
+        rowsets = self.rowsets
+        groups = self._groups
+        u_items = self.uncovered_ids._items
+        u_pos = self.uncovered_ids._pos
+        c_items = self.colliding_ids._items
+        c_pos = self.colliding_ids._pos
+        u = self.uncovered_count
+        c = self.collision_count
+        for tid in tids:
             rs = rowsets[tid]
-            members = groups.pop(rs)
-            if type(members) is not int:
-                members.discard(tid)
-                if len(members) == 1:
-                    other = members.pop()
-                    groups[rs] = other
-                    c -= 2
-                    colliding_ids.discard(tid)
-                    colliding_ids.discard(other)
-                else:
-                    groups[rs] = members
-                    c -= 1
-                    colliding_ids.discard(tid)
+            if rs:
+                members = groups.pop(rs)
+                if type(members) is not int:
+                    members.discard(tid)
+                    p = c_pos.pop(tid)
+                    last = c_items.pop()
+                    if last != tid:
+                        c_items[p] = last
+                        c_pos[last] = p
+                    if len(members) == 1:
+                        other = members.pop()
+                        groups[rs] = other
+                        c -= 2
+                        p = c_pos.pop(other)
+                        last = c_items.pop()
+                        if last != other:
+                            c_items[p] = last
+                            c_pos[last] = p
+                    else:
+                        groups[rs] = members
+                        c -= 1
+            else:
+                u -= 1
+                p = u_pos.pop(tid)
+                last = u_items.pop()
+                if last != tid:
+                    u_items[p] = last
+                    u_pos[last] = p
             rs ^= bit
             rowsets[tid] = rs
-            if rs == 0:
-                u += 1
-                uncovered_ids.add(tid)
-            else:
+            if rs:
                 members = groups.setdefault(rs, tid)
                 if members is not tid:  # the row set was taken
                     if type(members) is int:
                         groups[rs] = {members, tid}
                         c += 2
-                        colliding_ids.add(members)
-                        colliding_ids.add(tid)
+                        c_pos[members] = len(c_items)
+                        c_items.append(members)
                     else:
                         members.add(tid)
                         c += 1
-                        colliding_ids.add(tid)
-            # t_new gains row i, so it is covered after the change
-            tid = base + new_v * stride_j
-            rs = rowsets[tid]
-            if rs == 0:
-                u -= 1
-                uncovered_ids.discard(tid)
+                    c_pos[tid] = len(c_items)
+                    c_items.append(tid)
             else:
-                members = groups.pop(rs)
-                if type(members) is not int:
-                    members.discard(tid)
-                    if len(members) == 1:
-                        other = members.pop()
-                        groups[rs] = other
-                        c -= 2
-                        colliding_ids.discard(tid)
-                        colliding_ids.discard(other)
-                    else:
-                        groups[rs] = members
-                        c -= 1
-                        colliding_ids.discard(tid)
-            rs |= bit
-            rowsets[tid] = rs
-            members = groups.setdefault(rs, tid)
-            if members is not tid:
-                if type(members) is int:
-                    groups[rs] = {members, tid}
-                    c += 2
-                    colliding_ids.add(members)
-                    colliding_ids.add(tid)
-                else:
-                    members.add(tid)
-                    c += 1
-                    colliding_ids.add(tid)
+                u += 1
+                u_pos[tid] = len(u_items)
+                u_items.append(tid)
         self.uncovered_count = u
         self.collision_count = c
 
@@ -350,20 +357,40 @@ def cost(index: CoverageIndex, weight: float) -> float:
 
 
 def apply_move(index: CoverageIndex, array: TestArray, move: Move, weight: float = 1.0) -> float:
-    """Apply ``move`` to array and index; returns the cost delta at ``weight``."""
-    before = index.cost(weight)
+    """Apply ``move`` to array and index; returns the cost delta at ``weight``.
+
+    The index logs the move and the tids each of its entry changes toggled,
+    for ``undo_move``.
+    """
+    before = weight * index.uncovered_count + index.collision_count
     rows = array.rows
+    entry_changed = index._entry_changed
+    logged = []
     for i, j, old, new in move.assignments:
         row = rows[i]
         row[j] = new
-        index._entry_changed(row, i, j, old, new)
-    return index.cost(weight) - before
+        logged.append(entry_changed(row, i, j, old, new))
+    index._last_move = move
+    index._last_tids = logged
+    return weight * index.uncovered_count + index.collision_count - before
 
 
 def undo_move(index: CoverageIndex, array: TestArray, move: Move) -> None:
-    """Exactly revert a previously applied move."""
+    """Exactly revert ``move``, which must be the last move applied to the index.
+
+    Replays the tids ``apply_move`` logged, in reversed assignment order and
+    with each (loses, gains) pair swapped: the tids, in the order, that
+    recomputing the entry changes backwards would find.  Raises ValueError
+    for any other move, including one already undone.
+    """
+    if move is not index._last_move:
+        raise ValueError("undo_move reverts only the last move applied to the index")
+    index._last_move = None
     rows = array.rows
-    for i, j, old, new in reversed(move.assignments):
-        row = rows[i]
-        row[j] = old
-        index._entry_changed(row, i, j, new, old)
+    toggle = index._toggle
+    for (i, j, old, _new), tids in zip(reversed(move.assignments), reversed(index._last_tids)):
+        rows[i][j] = old
+        swapped = tids[:]
+        swapped[::2] = tids[1::2]
+        swapped[1::2] = tids[::2]
+        toggle(1 << i, swapped)

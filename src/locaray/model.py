@@ -97,6 +97,13 @@ class Interaction:
         if len(set(factors)) != len(factors):
             raise ValueError(f"duplicate factor in interaction {pairs}")
 
+    @classmethod
+    def _canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "Interaction":
+        """An interaction from pairs already sorted by distinct factors, unchecked."""
+        interaction = object.__new__(cls)
+        object.__setattr__(interaction, "pairs", pairs)
+        return interaction
+
     @property
     def strength(self) -> int:
         return len(self.pairs)
@@ -247,10 +254,11 @@ class InteractionCatalog:
         stride = self.strides[pos]
         rem = idx - self.offsets[pos]
         pairs = []
-        for d, j in enumerate(combo):
-            v, rem = divmod(rem, stride[d])
+        for j, step in zip(combo, stride):
+            v, rem = divmod(rem, step)
             pairs.append((j, v))
-        return Interaction(tuple(pairs))
+        # combos are ascending, so the pairs are already canonical
+        return Interaction._canonical(tuple(pairs))
 
     def __iter__(self):
         for combo in self.combos:

@@ -20,7 +20,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from random import Random
@@ -203,8 +202,15 @@ def construct_runs(
     """
     if workers <= 1 or not budgets:
         return [construct(model, t, params, budget) for budget in budgets]
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1, len(budgets))) as pool:
+    with _process_pool(min(workers, os.cpu_count() or 1, len(budgets))) as pool:
         return list(pool.map(partial(construct, model, t, params), budgets))
+
+
+def _process_pool(max_workers: int):
+    # imported here, so that importing locaray loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def parallel_construct(

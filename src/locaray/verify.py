@@ -129,8 +129,9 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
     caller is responsible for having verified the array first.
 
     An interaction covering every failing row agrees with the first of
-    them, so each factor combination has one candidate: the first failing
-    row's values on it.  Its row set is compared with the failing mask.
+    them, so its row set is the AND of that row's masks on its factors, and
+    each of those masks holds every failing row.  Only factors whose mask
+    does are combined, in ascending order, which keeps the catalog order.
     """
     failing = frozenset(failing)
     for i in failing:
@@ -138,16 +139,19 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
             raise ValueError(f"failing row index {i} out of range 1..{array.m}")
     if not failing:
         return []
+    if not 0 <= t <= array.model.k:
+        raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
     target = 0
     for i in failing:
         target |= 1 << (i - 1)
     row = array.rows[min(failing) - 1]
-    masks = _column_masks(array)
+    masks = [column[row[j]] for j, column in enumerate(_column_masks(array))]
+    factors = [j for j, bits in enumerate(masks) if bits & target == target]
     hits = []
-    for combo in enumerate_interactions(array.model, t).combos:
+    for combo in itertools.combinations(factors, t):
         bits = -1  # every row
         for j in combo:
-            bits &= masks[j][row[j]]
+            bits &= masks[j]
         if bits == target:
             hits.append(Interaction(tuple((j, row[j]) for j in combo)))
     return hits

@@ -49,7 +49,7 @@ def printer_covering():
 
 
 class InlinePool:
-    """Stand-in for ProcessPoolExecutor: records its size and runs every job
+    """Stand-in for a process pool: records its size and runs every job
     in this process, so pool sizing can be tested without spawning."""
 
     def __init__(self, max_workers):
@@ -76,6 +76,6 @@ def inline_pools(monkeypatch):
         pools.append(InlinePool(max_workers))
         return pools[-1]
 
-    monkeypatch.setattr(locaray.search, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(locaray.search, "_process_pool", make)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return pools

@@ -10,11 +10,14 @@ from locaray import (
     TestArray,
     apply_move,
     build_index,
+    entry_move,
+    overwrite_move,
     random_array,
     rho,
     sa_run,
     select_neighbor_baseline,
     select_neighbor_proposed,
+    undo_move,
     verify,
 )
 from tests.conftest import PRINTER_COVERING_ROWS, PRINTER_MODEL
@@ -136,6 +139,59 @@ def test_proposed_requires_deficiency(printer_locating):
     index = build_index(printer_locating, 2)
     with pytest.raises(RuntimeError):
         select_neighbor_proposed(printer_locating, index, random.Random(0))
+
+
+def _row_scan_proposed(array, index, rng):
+    # select_neighbor_proposed as it was with O(m) row scans: the list of
+    # covering rows and the list of the others; pins every RNG draw
+    if len(index.uncovered_ids):
+        tid = index.uncovered_ids.pick(rng)
+        row = rng.randrange(array.m)
+        return overwrite_move(array, row, index.catalog.interaction_at(tid))
+    tid = index.colliding_ids.pick(rng)
+    interaction = index.catalog.interaction_at(tid)
+    bits = index.rowset_bits(tid)
+    covering = [i for i in range(array.m) if (bits >> i) & 1]
+    outside = array.m - len(covering)
+    if len(covering) > 1:
+        alter = outside == 0 or rng.getrandbits(1) == 1
+    else:
+        alter = outside == 0
+    if alter:
+        i = covering[rng.randrange(len(covering))]
+        j = interaction.factors[rng.randrange(interaction.strength)]
+        v = rng.randrange(array.model.values[j] - 1)
+        v = v + 1 if v >= array.rows[i][j] else v
+        return entry_move(array, i, j, v, interaction=interaction)
+    skip = frozenset(covering)
+    others = [i for i in range(array.m) if i not in skip]
+    i = others[rng.randrange(len(others))]
+    return overwrite_move(array, i, interaction)
+
+
+def test_proposed_matches_row_scan_selection_and_rng_draws():
+    rng = random.Random(71)
+    kinds = {"uncovered": 0, "entry": 0, "row": 0}
+    while kinds["entry"] + kinds["row"] < 2000 or min(kinds.values()) < 200:
+        model = SutModel(tuple(rng.randint(2, 3) for _ in range(rng.randint(2, 6))))
+        t = rng.randint(1, min(2, model.k))
+        # rows drawn from a small pool repeat, so row sets collide at every
+        # size, past one 64-bit word too
+        pool = random_array(model, rng.randint(2, 12), rng).rows
+        arr = TestArray(model, [rng.choice(pool) for _ in range(rng.randint(2, 70))])
+        index = build_index(arr, t)
+        for _ in range(30):
+            if index.is_locating():
+                break
+            seed = rng.getrandbits(64)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            move = select_neighbor_proposed(arr, index, ours)
+            assert move == _row_scan_proposed(arr, index, theirs)
+            assert ours.getstate() == theirs.getstate()
+            kinds["uncovered" if index.uncovered_count else move.kind] += 1
+            apply_move(index, arr, move)
+            if rng.random() < 0.9:
+                undo_move(index, arr, move)
 
 
 def test_proposed_fixed_seed_trace_regression():

@@ -145,6 +145,28 @@ def test_apply_then_undo_restores_everything():
         assert index.snapshot() == reference_state
 
 
+def test_undo_reverts_only_the_last_move_applied():
+    rng = random.Random(29)
+    arr = random_array(SutModel((2, 3, 2, 4)), 6, rng)
+    index = build_index(arr, 2)
+    first = entry_move(arr, 0, 1, (arr.rows[0][1] + 1) % 3)
+    second = entry_move(arr, 1, 3, (arr.rows[1][3] + 1) % 4)
+    apply_move(index, arr, first)
+    applied_rows = [row[:] for row in arr.rows]
+    applied_state = index.snapshot()
+    apply_move(index, arr, second)
+    with pytest.raises(ValueError):
+        undo_move(index, arr, first)
+    undo_move(index, arr, second)
+    assert arr.rows == applied_rows
+    assert index.snapshot() == applied_state
+    for stale in (second, first):  # already undone; applied before the last move
+        with pytest.raises(ValueError):
+            undo_move(index, arr, stale)
+    assert arr.rows == applied_rows
+    assert index.snapshot() == applied_state
+
+
 def test_delta_matches_full_recompute():
     rng = random.Random(31)
     for weight in (0.0, 1.0, 4.0):

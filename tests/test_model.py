@@ -132,6 +132,19 @@ def test_index_round_trips():
             assert catalog.interaction_at(pos) == interaction
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_interaction_at_equals_the_checked_constructor(t):
+    # interaction_at skips the sort and duplicate check; nothing may tell
+    for model in (SutModel((3, 2, 4, 2, 5)), SutModel((2, 6, 3, 2))):
+        catalog = enumerate_interactions(model, t)
+        for tid, pairs in enumerate(brute_force_interactions(model, t)):
+            fast, checked = catalog.interaction_at(tid), Interaction(tuple(reversed(pairs)))
+            assert fast == checked and checked == fast
+            assert hash(fast) == hash(checked)
+            assert fast.sort_key() == checked.sort_key()
+            assert fast.pairs == checked.pairs == pairs
+
+
 # --- covers and rho -----------------------------------------------------------
 
 

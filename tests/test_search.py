@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import locaray
 from locaray import (
     AnnealParams,
     SearchBudget,
@@ -408,3 +412,12 @@ def test_construct_runs_forks_no_more_processes_than_budgets(inline_pools):
     (pooled,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=2)
     assert [pool.max_workers for pool in inline_pools] == [1]
     assert pooled.array == construct(model, 2, AnnealParams(), budget).array
+
+
+def test_importing_locaray_loads_no_process_pool():
+    # loading the pool modules slows every start of the CLI; only a pool needs them
+    src = os.path.dirname(os.path.dirname(locaray.__file__))
+    code = "import sys, locaray; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -132,6 +132,36 @@ def test_locate_fault_may_be_ambiguous_on_non_locating_array(printer_covering):
     assert len(ambiguous) >= 2
 
 
+def test_locate_fault_single_failing_row_keeps_every_factor():
+    # every factor's candidate mask holds the one failing row
+    rng = random.Random(83)
+    hits = 0
+    for t in (1, 2, 3):
+        array = random_array(SutModel((2, 3, 2, 4, 2)), 9, rng)
+        for i in range(1, array.m + 1):
+            found = locate_fault(array, {i}, t)
+            assert found == literal_locate_fault(array, {i}, t)
+            hits += len(found)
+    assert hits  # some interaction covers a single row only
+
+
+def test_locate_fault_set_matched_by_no_interaction():
+    # rows 1 and 2 agree on no factor, so no interaction covers both
+    array = TestArray(SutModel((2, 3, 2)), [[0, 0, 0], [1, 1, 1], [0, 2, 1], [1, 0, 0]])
+    for t in (1, 2, 3):
+        assert locate_fault(array, {1, 2}, t) == literal_locate_fault(array, {1, 2}, t) == []
+    with pytest.raises(ValueError):
+        locate_fault(array, {1, 2}, 4)
+
+
+def test_locate_fault_lists_every_hit_in_catalog_order():
+    # rows 1 and 2 alone hold value 0 at factors 0, 1 and 3, and differ at factor 2
+    array = TestArray(SutModel((2, 2, 3, 2)), [[0, 0, 0, 0], [0, 0, 1, 0], [1, 1, 2, 1], [1, 1, 0, 1]])
+    found = locate_fault(array, {1, 2}, 2)
+    assert found == literal_locate_fault(array, {1, 2}, 2)
+    assert found == [Interaction(((0, 0), (1, 0))), Interaction(((0, 0), (3, 0))), Interaction(((1, 0), (3, 0)))]
+
+
 # --- mask widths ----------------------------------------------------------------
 
 
