@@ -6,6 +6,7 @@ timeout, 3 interaction catalog over the memory budget, 64 usage error.
 
 import argparse
 import csv
+import os
 import sys
 from importlib import resources
 
@@ -20,8 +21,6 @@ EXIT_NOT_LOCATING = 1
 EXIT_NO_ARRAY = 2
 EXIT_CAPACITY = 3
 EXIT_USAGE = 64
-
-_CLI_COLLISION_CAP = 1000  # keep reports bounded on degenerate inputs
 
 
 class _UsageError(Exception):
@@ -98,6 +97,14 @@ def _check_run_flags(args) -> None:
     _usage_checked(memory_budget_from_env)
 
 
+def _check_writable(path: str) -> None:
+    """Usage error unless ``path`` names a file that can be written, so a
+    bad output path fails before the search instead of losing its result."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise _UsageError(f"cannot write {path}")
+
+
 def _params_from(args) -> AnnealParams:
     return _usage_checked(
         AnnealParams,
@@ -124,6 +131,8 @@ def cmd_generate(args) -> int:
         print(f"strength must lie in 1..{model.k}", file=sys.stderr)
         return EXIT_USAGE
     _check_run_flags(args)
+    if args.out:
+        _check_writable(args.out)
     params = _params_from(args)
     budget = _usage_checked(SearchBudget, max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
     result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
@@ -157,7 +166,7 @@ def cmd_verify(args) -> int:
     if not 1 <= t <= array.model.k:
         print(f"strength must lie in 1..{array.model.k}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify(array, t, max_collision_pairs=_CLI_COLLISION_CAP)
+    report = verify(array, t)
     print(f"model={array.model.spec_text()}")
     print(f"rows={array.m}")
     print(f"strength={t}")
@@ -252,6 +261,8 @@ def cmd_bench(args) -> int:
     _usage_checked(SearchBudget, timeout=args.timeout)
 
     log_path = args.log or (f"{args.out}.log" if args.out else "bench.log")
+    for path in filter(None, (args.out, log_path)):
+        _check_writable(path)
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fh, lineterminator="\n")

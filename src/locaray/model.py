@@ -53,13 +53,17 @@ class SutModel:
 
 _TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
+MAX_FACTORS = 10_000  # the largest bundled suite instance (gcc) has 199
+
 
 def parse_model(spec: str) -> SutModel:
     """Parse a model specification such as ``"2^13 4^5"`` or ``"2,2,2,3"``.
 
     Tokens are separated by whitespace or commas.  Each token is either
     ``base^exp`` (exp factors with base values each) or a bare integer,
-    shorthand for an exponent of 1.  Bases must be >= 2 and exponents >= 1.
+    shorthand for an exponent of 1.  Bases must be >= 2 and exponents >= 1,
+    and the model may have at most ``MAX_FACTORS`` factors; the count is
+    checked before the factor list grows.
     """
     tokens = spec.replace(",", " ").split()
     if not tokens:
@@ -69,12 +73,17 @@ def parse_model(spec: str) -> SutModel:
         m = _TOKEN_RE.match(tok)
         if m is None:
             raise ModelParseError(f"malformed token {tok!r}")
-        base = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            base = int(m.group(1))
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:  # more digits than int() converts
+            raise ModelParseError(f"token {tok!r}: number too long") from None
         if base < 2:
             raise ModelParseError(f"token {tok!r}: factors need at least 2 values")
         if exp < 1:
             raise ModelParseError(f"token {tok!r}: exponent must be at least 1")
+        if exp > MAX_FACTORS - len(values):
+            raise ModelParseError(f"token {tok!r}: a model may have at most {MAX_FACTORS} factors")
         values.extend([base] * exp)
     return SutModel(tuple(values))
 

@@ -6,7 +6,9 @@ one loop.  Each pass picks the next size by one of three rules:
 - while the range [low, high] is not empty, probe its midpoint; a success
   moves ``high`` below the found size, a failure moves ``low`` past it;
 - when the range is empty and nothing has been found, the heuristic upper
-  bound was too small: double it and search [floor, ceiling] again;
+  bound was too small: double it and raise only ``high``, so the search
+  resumes at ``low``, above every size the failed pass ruled out, instead
+  of probing [floor, ceiling] again;
 - when the range is empty and an array has been found, probe one row fewer
   than the best array, stopping after ``max_retries`` failures in a row or
   below the lower bound.
@@ -151,8 +153,11 @@ def construct(
         if bisecting:
             size = (low + high) // 2
         elif best is None:
+            # the failed pass left low at the old ceiling + 1 (or at floor if
+            # the range started empty) and ruled out every size below it, so
+            # bisecting from floor again would only repeat failures
             ceiling *= 2
-            low, high = floor, ceiling
+            high = ceiling
             continue
         else:
             size = best.m - 1

@@ -19,16 +19,19 @@ from dataclasses import dataclass
 
 from .model import Interaction, TestArray, enumerate_interactions
 
+DEFAULT_COLLISION_PAIRS = 1000  # pairs listed in a report unless the caller asks otherwise
+
 
 @dataclass
 class VerifyReport:
     """Outcome of checking one array at one strength.
 
-    ``collisions`` holds every unordered pair of distinct interactions with
+    ``collisions`` lists unordered pairs of distinct interactions with
     identical covering row sets, the pair ordered canonically, together with
-    the shared row set.  Pairs whose shared row set is empty count as
-    collisions too (they also show up in ``uncovered``).  ``collision_count``
-    is always exact even when the pair list was truncated.
+    the shared row set, up to the cap ``verify`` was given.  Pairs whose
+    shared row set is empty count as collisions too (they also show up in
+    ``uncovered``).  ``collision_count`` is always exact even when the pair
+    list was truncated.
     """
 
     strength: int
@@ -72,13 +75,15 @@ def _rows(bits: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def verify(array: TestArray, t: int, max_collision_pairs: int | None = None) -> VerifyReport:
+def verify(
+    array: TestArray, t: int, max_collision_pairs: int | None = DEFAULT_COLLISION_PAIRS
+) -> VerifyReport:
     """Check the covering and locating properties of ``array`` at strength ``t``.
 
     Interactions are grouped by covering row set; every group of size g
-    contributes all C(g, 2) colliding pairs.  ``max_collision_pairs`` caps
-    only the materialized pair list (callers with pathological inputs),
-    never the reported count.
+    contributes C(g, 2) colliding pairs.  ``max_collision_pairs`` caps only
+    the materialized pair list, never the reported count; ``None`` lists
+    every pair, which on a near-empty array is about |I_t|^2 / 2 of them.
     """
     if not 1 <= t <= array.model.k:
         raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from locaray import format_array, load_array, verify
+from locaray import cli, format_array, load_array, verify
 from locaray.cli import EXIT_CAPACITY, EXIT_NO_ARRAY, EXIT_NOT_LOCATING, EXIT_OK, EXIT_USAGE, load_suite, main
 
 
@@ -20,6 +20,15 @@ def printer_file(tmp_path, printer_locating):
     path = tmp_path / "printer.la"
     path.write_text(format_array(printer_locating, 2))
     return str(path)
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(cli, "parallel_construct", refuse)
+    monkeypatch.setattr(cli, "construct_runs", refuse)
 
 
 @pytest.fixture
@@ -41,6 +50,13 @@ def test_bound_three_binary_factors(capsys):
 def test_bound_rejects_bad_strength(capsys):
     code, _, err = run_cli(capsys, "bound", "--model", "2^3", "--strength", "9")
     assert code == EXIT_USAGE
+
+
+def test_bound_rejects_too_many_factors(capsys):
+    code, out, err = run_cli(capsys, "bound", "--model", "2^10001", "--strength", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "at most 10000 factors" in err
 
 
 # --- generate -------------------------------------------------------------------
@@ -73,6 +89,15 @@ def test_generate_without_out_prints_array(capsys):
     assert "rows=6" in out
     body = out[out.index("rows=6"):]
     assert "\n2^3\n6 2\n" in body
+
+
+@pytest.mark.parametrize("target", ["missing/la.txt", "."], ids=["missing-dir", "a-directory"])
+def test_generate_unwritable_out_fails_before_the_search(capsys, tmp_path, no_search, target):
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", "--out", str(out_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot write {out_path}" in err
 
 
 def test_generate_missing_model_is_usage_error(capsys):
@@ -250,6 +275,21 @@ def test_bench_bad_flag_values_are_usage_errors(capsys, tmp_path, flags):
     assert code == EXIT_USAGE
     assert out == ""
     assert not log.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_bench_unwritable_out_or_log_fails_before_the_search(capsys, tmp_path, no_search, flag):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("tiny,2^3\n")
+    paths = {"--out": tmp_path / "bench.csv", "--log": tmp_path / "bench.log", flag: tmp_path / "missing" / "x"}
+    argv = ["bench", "--suite", str(suite), "--runs", "1"]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot write {paths[flag]}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
 
 
 def test_bench_pool_is_capped_at_cpu_count_and_runs_every_seed(capsys, tmp_path, inline_pools):

@@ -17,6 +17,7 @@ from locaray import (
     random_array,
     rho,
 )
+from locaray.model import MAX_FACTORS
 
 
 def brute_force_interactions(model, t):
@@ -50,6 +51,20 @@ def test_parse_bare_integer_is_exponent_one():
 def test_parse_rejects_malformed(spec):
     with pytest.raises(ModelParseError):
         parse_model(spec)
+
+
+def test_parse_bounds_the_factor_count_before_building_the_model():
+    assert parse_model(f"2^{MAX_FACTORS}").k == MAX_FACTORS
+    # each spec is one factor too many, so a missing bound costs only kilobytes
+    for spec in [f"2^{MAX_FACTORS + 1}", f"2^{MAX_FACTORS // 2} 3^{MAX_FACTORS - MAX_FACTORS // 2 + 1}"]:
+        with pytest.raises(ModelParseError, match=f"at most {MAX_FACTORS} factors"):
+            parse_model(spec)
+
+
+def test_parse_rejects_numbers_too_long_to_convert():
+    # 5000 digits pass the regex; Python 3.11 refuses to convert them
+    with pytest.raises(ModelParseError, match="too long"):
+        parse_model("2^" + "1" * 5000)
 
 
 def test_parse_error_names_token():

@@ -140,8 +140,10 @@ def run_scripted(monkeypatch, bounds, succeeds, max_retries=3, timeout=60.0):
     return construct(SutModel((2, 2)), 2, budget=budget)
 
 
-# Probe sequences recorded from the three-loop driver (binary search, doubling,
-# shrink) that the single probe loop replaced: same sizes, outcomes, result.
+# Probe sequences of the probe loop: sizes, outcomes, result.  All but the
+# two widen cases were recorded from the three-loop driver (binary search,
+# doubling, shrink) that the loop replaced; those two were re-recorded when
+# widening began to resume above the failed ceiling, not at the floor.
 PROBE_LOCK = {
     "bisect": dict(
         bounds=(1, 31), succeeds=lambda m, n: m >= 13,
@@ -150,13 +152,13 @@ PROBE_LOCK = {
     ),
     "widen-once": dict(
         bounds=(3, 5), succeeds=lambda m, n: m >= 8,
-        history=[(4, 0), (5, 0), (6, 0), (8, 1), (7, 0), (7, 0), (7, 0), (7, 0)],
+        history=[(4, 0), (5, 0), (8, 1), (6, 0), (7, 0), (7, 0), (7, 0), (7, 0)],
         rows=8, timed_out=False,
     ),
     "widen-twice": dict(
         bounds=(3, 5), succeeds=lambda m, n: m >= 20,
-        history=[(4, 0), (5, 0), (6, 0), (8, 0), (9, 0), (10, 0), (11, 0), (16, 0), (18, 0),
-                 (19, 0), (20, 1), (19, 0), (19, 0), (19, 0)],
+        history=[(4, 0), (5, 0), (8, 0), (9, 0), (10, 0), (15, 0), (18, 0), (19, 0), (20, 1),
+                 (19, 0), (19, 0), (19, 0)],
         rows=20, timed_out=False,
     ),
     "empty-range": dict(
@@ -252,12 +254,15 @@ def test_construct_never_probes_below_floor(monkeypatch):
             mp.setattr(search_module, "sa_run", make_stub(flaky, calls=calls))
             mp.setattr(search_module, "initial_bounds", lambda model, t: (floor, ceiling))
             budget = SearchBudget(max_retries=rng.randint(1, 4), timeout=60, seed=0)
-            construct(SutModel((2, 2)), 2, budget=budget)
+            result = construct(SutModel((2, 2)), 2, budget=budget)
         assert calls and all(m >= floor for m in calls)
         # the range widens past the ceiling only after a pass found nothing
         above = [i for i, m in enumerate(calls) if m > ceiling]
         if above:
             assert not any(outcomes[m] for m in calls[: above[0]])
+        # outcomes are fixed per size, so only the shrink's retries one row
+        # below the best array may probe a size again
+        assert all(m == result.rows - 1 for m in calls if calls.count(m) > 1)
 
 
 def test_construct_time_to_best_is_when_the_best_array_was_found(monkeypatch):

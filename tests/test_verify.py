@@ -12,6 +12,7 @@ from locaray import (
     rho,
     verify,
 )
+from locaray.verify import DEFAULT_COLLISION_PAIRS
 from tests.literal_oracle import literal_locate_fault, literal_verify
 
 FAULTY_PAIR = Interaction(((1, 1), (2, 1)))  # (size=A5, color=No)
@@ -87,6 +88,18 @@ def test_strength_out_of_range(printer_locating):
         verify(printer_locating, 0)
     with pytest.raises(ValueError):
         verify(printer_locating, 5)
+
+
+def test_default_report_lists_a_bounded_number_of_pairs():
+    # over no rows, all 364 strength-2 interactions of 2^14 share one row set
+    array = TestArray(SutModel((2,) * 14), [])
+    report = verify(array, 2)
+    assert report.collision_count == 364 * 363 // 2
+    assert len(report.collisions) == DEFAULT_COLLISION_PAIRS
+    assert report.collisions_truncated
+    full = verify(array, 2, max_collision_pairs=None)
+    assert len(full.collisions) == full.collision_count == report.collision_count
+    assert report.collisions == full.collisions[:DEFAULT_COLLISION_PAIRS]
 
 
 def test_collision_list_truncation(printer_covering):
@@ -176,7 +189,7 @@ def test_mask_kernel_matches_literal_scan_across_word_boundaries(m, t):
         uniform[-1] = random_array(model, 1, rng).rows[0]  # row sets differ in the top bit only
     catalog = enumerate_interactions(model, t)
     for array in (random_array(model, m, rng), TestArray(model, uniform)):
-        assert verify(array, t) == literal_verify(array, t)
+        assert verify(array, t, max_collision_pairs=None) == literal_verify(array, t)
         assert verify(array, t, max_collision_pairs=4) == literal_verify(array, t, max_collision_pairs=4)
         failing_sets = [rho(array, catalog.interaction_at(rng.randrange(len(catalog)))) for _ in range(6)]
         failing_sets += [frozenset({i}) for i in (1, 63, 64, 65, 130) if i <= m]
