@@ -8,19 +8,7 @@ independently verifies the defining properties of any array.
 """
 
 from .anneal import AnnealParams, NoNeighborError, sa_run, select_neighbor_baseline, select_neighbor_proposed
-from .cost import (
-    CapacityError,
-    CoverageIndex,
-    Move,
-    apply_move,
-    build_index,
-    collisions,
-    cost,
-    entry_move,
-    overwrite_move,
-    uncovered,
-    undo_move,
-)
+from .cost import CapacityError, CoverageIndex, Move, apply_move, build_index, entry_move, overwrite_move, undo_move
 from .model import (
     Interaction,
     InteractionCatalog,
@@ -69,9 +57,7 @@ __all__ = [
     "VerifyReport",
     "apply_move",
     "build_index",
-    "collisions",
     "construct",
-    "cost",
     "covers",
     "derive_seed",
     "entry_move",
@@ -92,7 +78,6 @@ __all__ = [
     "select_neighbor_baseline",
     "select_neighbor_proposed",
     "tang_lower_bound",
-    "uncovered",
     "undo_move",
     "verify",
     "__version__",

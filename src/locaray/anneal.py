@@ -42,10 +42,10 @@ class AnnealParams:
     strategy: str = "proposed"
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
-        if self.t_init <= 0:
-            raise ValueError("t_init must be positive")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError("weight must be finite and non-negative")
+        if not 0 < self.t_init < math.inf:
+            raise ValueError("t_init must be finite and positive")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if not 0 < self.cooling < 1:
@@ -93,15 +93,17 @@ def select_neighbor_proposed(array: TestArray, index: CoverageIndex, rng: Random
     """
     if array.m == 0:
         raise NoNeighborError("an array with no rows has no neighbors")
-    if len(index.uncovered_ids):
-        tid = index.uncovered_ids.pick(rng)
+    tids = index.uncovered_ids
+    if tids:
+        tid = tids[rng.randrange(len(tids))]
         row = rng.randrange(array.m)
         return overwrite_move(array, row, index.catalog.interaction_at(tid))
-    if not len(index.colliding_ids):
+    tids = index.colliding_ids
+    if not tids:
         raise RuntimeError("array is already locating; no neighbor to select")
-    tid = index.colliding_ids.pick(rng)
+    tid = tids[rng.randrange(len(tids))]
     interaction = index.catalog.interaction_at(tid)
-    bits = index.rowset_bits(tid)
+    bits = index.rowsets[tid]
     covering = bits.bit_count()
     outside = array.m - covering
     if covering > 1:

@@ -97,6 +97,12 @@ def _check_run_flags(args) -> None:
     _usage_checked(memory_budget_from_env)
 
 
+def _check_strength(t: int, model, where: str = "") -> None:
+    """Usage error unless strength ``t`` lies in 1..k; ``where`` prefixes the message."""
+    if not 1 <= t <= model.k:
+        raise _UsageError(f"{where}strength must lie in 1..{model.k}")
+
+
 def _check_writable(path: str) -> None:
     """Usage error unless ``path`` names a file that can be written, so a
     bad output path fails before the search instead of losing its result."""
@@ -127,9 +133,7 @@ def _load(path):
 
 def cmd_generate(args) -> int:
     model = parse_model(args.model)
-    if not 1 <= args.strength <= model.k:
-        print(f"strength must lie in 1..{model.k}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_strength(args.strength, model)
     _check_run_flags(args)
     if args.out:
         _check_writable(args.out)
@@ -163,9 +167,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
-    if not 1 <= t <= array.model.k:
-        print(f"strength must lie in 1..{array.model.k}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_strength(t, array.model)
     report = verify(array, t)
     print(f"model={array.model.spec_text()}")
     print(f"rows={array.m}")
@@ -192,9 +194,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     model = parse_model(args.model)
-    if not 1 <= args.strength <= model.k:
-        print(f"strength must lie in 1..{model.k}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_strength(args.strength, model)
     low, high = initial_bounds(model, args.strength)
     print(f"low={low} high={high}")
     return EXIT_OK
@@ -203,9 +203,7 @@ def cmd_bound(args) -> int:
 def cmd_locate(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
-    if not 1 <= t <= array.model.k:
-        print(f"strength must lie in 1..{array.model.k}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_strength(t, array.model)
     text = args.failing.strip()
     try:
         failing = frozenset(int(x) for x in text.split(",") if x.strip()) if text else frozenset()
@@ -255,6 +253,8 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     if not entries:
         raise _UsageError("the suite lists no instances")
+    for name, spec in entries:
+        _check_strength(args.strength, parse_model(spec), f"suite instance {name}: ")
     if args.runs < 1:
         raise _UsageError("--runs must be at least 1")
     _check_run_flags(args)

@@ -32,7 +32,6 @@ undo reverts only the last move applied; any other move raises.
 
 import os
 from dataclasses import dataclass
-from random import Random
 
 from .model import Interaction, TestArray, enumerate_interactions, interaction_count
 
@@ -66,39 +65,6 @@ def memory_budget_from_env() -> int:
     if not text.strip().isdecimal():
         raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
     return int(text)
-
-
-class _SampleSet:
-    """Set of ints supporting O(1) add/discard and uniform random pick."""
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self):
-        self._items: list[int] = []
-        self._pos: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        if x not in self._pos:
-            self._pos[x] = len(self._items)
-            self._items.append(x)
-
-    def discard(self, x: int) -> None:
-        i = self._pos.pop(x, None)
-        if i is None:
-            return
-        last = self._items.pop()
-        if i < len(self._items):
-            self._items[i] = last
-            self._pos[last] = i
-
-    def pick(self, rng: Random) -> int:
-        return self._items[rng.randrange(len(self._items))]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._pos
 
 
 @dataclass(frozen=True)
@@ -137,26 +103,28 @@ class CoverageIndex:
     ``apply_move``/``undo_move``, where an undo reverts the last move
     applied.  ``uncovered_count`` and ``collision_count`` are the two cost
     components.
+
+    ``uncovered_ids`` and ``colliding_ids`` list the tids of each kind for
+    uniform random picks, ``ids[rng.randrange(len(ids))]``; a position
+    dict per list makes add and remove O(1), and a removal swaps the last
+    tid into the freed slot.
     """
 
-    def __init__(self, array: TestArray, t: int, memory_budget_mb: int | None = None):
+    def __init__(self, array: TestArray, t: int):
         model = array.model
         if not 1 <= t <= model.k:
             raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
         n = interaction_count(model, t)
-        budget = memory_budget_mb if memory_budget_mb is not None else memory_budget_from_env()
+        budget = memory_budget_from_env()
         if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
             raise CapacityError(n, budget)
 
         self.model = model
         self.strength = t
-        self.m = array.m
         self.catalog = enumerate_interactions(model, t)
         self.rowsets: list[int] = []
-        self.uncovered_count = 0
-        self.collision_count = 0
-        self.uncovered_ids = _SampleSet()
-        self.colliding_ids = _SampleSet()
+        self.uncovered_ids: list[int] = []
+        self.colliding_ids: list[int] = []
         # row set -> the tid holding it, or the set of tids once two or more share it
         self._groups: dict[int, int | set[int]] = {}
         self._partners = self._partner_tables()
@@ -202,23 +170,25 @@ class CoverageIndex:
                 sets = [a & b for a in sets for b in masks[j]]
             rowsets += sets
         groups = self._groups
+        uncovered = self.uncovered_ids
+        colliding = self.colliding_ids
         for tid, rs in enumerate(rowsets):
             if rs == 0:
-                self.uncovered_count += 1
-                self.uncovered_ids.add(tid)
+                uncovered.append(tid)
                 continue
             members = groups.get(rs)
             if members is None:
                 groups[rs] = tid
             elif type(members) is int:
                 groups[rs] = {members, tid}
-                self.collision_count += 2
-                self.colliding_ids.add(members)
-                self.colliding_ids.add(tid)
+                colliding += (members, tid)
             else:
                 members.add(tid)
-                self.collision_count += 1
-                self.colliding_ids.add(tid)
+                colliding.append(tid)
+        self.uncovered_count = len(uncovered)
+        self.collision_count = len(colliding)
+        self._uncovered_pos = {tid: p for p, tid in enumerate(uncovered)}
+        self._colliding_pos = {tid: p for p, tid in enumerate(colliding)}
 
     # --- incremental maintenance ----------------------------------------
 
@@ -245,15 +215,14 @@ class CoverageIndex:
         its new row set, or the uncovered set.  Group-size transitions drive
         the counters: leaving a group of 2 clears collision status for both
         members, joining a singleton sets it for both, and sizes >= 3 move a
-        single member's status.  The sample sets' add/discard is inlined:
-        append, and swap the last item into the freed slot.
+        single member's status.
         """
         rowsets = self.rowsets
         groups = self._groups
-        u_items = self.uncovered_ids._items
-        u_pos = self.uncovered_ids._pos
-        c_items = self.colliding_ids._items
-        c_pos = self.colliding_ids._pos
+        u_items = self.uncovered_ids
+        u_pos = self._uncovered_pos
+        c_items = self.colliding_ids
+        c_pos = self._colliding_pos
         u = self.uncovered_count
         c = self.collision_count
         for tid in tids:
@@ -316,44 +285,18 @@ class CoverageIndex:
     def is_locating(self) -> bool:
         return self.uncovered_count == 0 and self.collision_count == 0
 
-    def rowset_bits(self, tid: int) -> int:
-        return self.rowsets[tid]
-
-    def rho_set(self, tid: int) -> frozenset[int]:
-        """Covering rows of interaction ``tid`` as 1-based indices."""
-        rs = self.rowsets[tid]
-        return frozenset(i + 1 for i in range(self.m) if (rs >> i) & 1)
-
     def snapshot(self):
         """Comparable state for consistency checks in tests."""
         return (tuple(self.rowsets), self.uncovered_count, self.collision_count)
 
 
-def build_index(array: TestArray, t: int, memory_budget_mb: int | None = None) -> CoverageIndex:
+def build_index(array: TestArray, t: int) -> CoverageIndex:
     """Build the coverage index of ``array`` at strength ``t``.
 
     Raises CapacityError when |I_t| would blow the memory budget (default
-    512 MiB, overridable via the LOCARAY_MEM_BUDGET_MB environment variable
-    or the ``memory_budget_mb`` argument).
+    512 MiB, overridable via the LOCARAY_MEM_BUDGET_MB environment variable).
     """
-    return CoverageIndex(array, t, memory_budget_mb)
-
-
-def uncovered(index: CoverageIndex) -> int:
-    """Number of interactions covered by no row (zero iff the array is covering)."""
-    return index.uncovered_count
-
-
-def collisions(index: CoverageIndex) -> int:
-    """Number of interactions sharing a non-empty covering row set with another."""
-    return index.collision_count
-
-
-def cost(index: CoverageIndex, weight: float) -> float:
-    """weight * uncovered + collisions; zero iff locating, for weight > 0."""
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    return index.cost(weight)
+    return CoverageIndex(array, t)
 
 
 def apply_move(index: CoverageIndex, array: TestArray, move: Move, weight: float = 1.0) -> float:

@@ -166,13 +166,6 @@ class TestArray:
     def copy(self) -> "TestArray":
         return TestArray(self.model, [row[:] for row in self.rows])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TestArray)
-            and self.model == other.model
-            and self.rows == other.rows
-        )
-
 
 def covers(row, interaction: Interaction) -> bool:
     """True iff the row agrees with every (factor, value) pair of the interaction."""
@@ -223,16 +216,14 @@ class InteractionCatalog:
         self.combos: list[tuple[int, ...]] = list(itertools.combinations(range(model.k), t))
         self.offsets: list[int] = []
         self.strides: list[tuple[int, ...]] = []
-        self._combo_pos: dict[tuple[int, ...], int] = {}
         off = 0
         vals = model.values
-        for pos, combo in enumerate(self.combos):
+        for combo in self.combos:
             self.offsets.append(off)
             stride = [1] * t
             for d in range(t - 2, -1, -1):
                 stride[d] = stride[d + 1] * vals[combo[d + 1]]
             self.strides.append(tuple(stride))
-            self._combo_pos[combo] = pos
             block = 1
             for j in combo:
                 block *= vals[j]
@@ -242,20 +233,8 @@ class InteractionCatalog:
     def __len__(self) -> int:
         return self.size
 
-    def index_of(self, interaction: Interaction) -> int:
-        """Dense index of an interaction (inverse of interaction_at)."""
-        combo = interaction.factors
-        pos = self._combo_pos.get(combo)
-        if pos is None:
-            raise KeyError(f"interaction {interaction} is not strength {self.strength} / in range")
-        stride = self.strides[pos]
-        idx = self.offsets[pos]
-        for d, (_, v) in enumerate(interaction.pairs):
-            idx += v * stride[d]
-        return idx
-
     def interaction_at(self, idx: int) -> Interaction:
-        """Interaction at a dense index (inverse of index_of)."""
+        """Interaction at a dense index, in the order iteration yields them."""
         if not 0 <= idx < self.size:
             raise IndexError(idx)
         pos = bisect.bisect_right(self.offsets, idx) - 1

@@ -105,7 +105,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN fails too; inf means no deadline
             raise ValueError("timeout must be positive")
 
 

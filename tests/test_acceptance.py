@@ -21,7 +21,6 @@ from locaray import (
     apply_move,
     build_index,
     construct,
-    cost,
     derive_seed,
     format_array,
     locate_fault,
@@ -208,7 +207,7 @@ def test_criterion_8_oracle_equivalence():
             model, t, array = _random_case(rng)
             index = build_index(array, t)
             report = verify(array, t, max_collision_pairs=None)
-            if (cost(index, 1.0) == 0) != report.is_locating_1bar:
+            if (index.cost(1.0) == 0) != report.is_locating_1bar:
                 mismatches += 1
             cap = queries.randint(0, 5)
             catalog = enumerate_interactions(model, t)

@@ -37,6 +37,10 @@ def test_default_params():
         {"cooling": 1.0},
         {"cooling": 0.0},
         {"strategy": "annealing"},
+        {"weight": float("nan")},
+        {"weight": float("inf")},
+        {"t_init": float("nan")},
+        {"t_init": float("inf")},
     ],
 )
 def test_params_validation(kwargs):
@@ -144,13 +148,13 @@ def test_proposed_requires_deficiency(printer_locating):
 def _row_scan_proposed(array, index, rng):
     # select_neighbor_proposed as it was with O(m) row scans: the list of
     # covering rows and the list of the others; pins every RNG draw
-    if len(index.uncovered_ids):
-        tid = index.uncovered_ids.pick(rng)
+    if index.uncovered_ids:
+        tid = index.uncovered_ids[rng.randrange(len(index.uncovered_ids))]
         row = rng.randrange(array.m)
         return overwrite_move(array, row, index.catalog.interaction_at(tid))
-    tid = index.colliding_ids.pick(rng)
+    tid = index.colliding_ids[rng.randrange(len(index.colliding_ids))]
     interaction = index.catalog.interaction_at(tid)
-    bits = index.rowset_bits(tid)
+    bits = index.rowsets[tid]
     covering = [i for i in range(array.m) if (bits >> i) & 1]
     outside = array.m - len(covering)
     if len(covering) > 1:

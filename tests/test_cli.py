@@ -133,8 +133,21 @@ def test_generate_capacity_exit(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--timeout", "0"], ["--k-max", "0"], ["--cooling", "1.5"], ["--workers", "0"]],
-    ids=["timeout", "k-max", "cooling", "workers"],
+    [
+        ["--timeout", "0"],
+        ["--timeout", "nan"],
+        ["--k-max", "0"],
+        ["--cooling", "1.5"],
+        ["--weight", "nan"],
+        ["--weight", "inf"],
+        ["--t-init", "nan"],
+        ["--t-init", "inf"],
+        ["--workers", "0"],
+    ],
+    ids=[
+        "timeout", "timeout-nan", "k-max", "cooling",
+        "weight-nan", "weight-inf", "t-init-nan", "t-init-inf", "workers",
+    ],
 )
 def test_generate_bad_flag_values_are_usage_errors(capsys, flags):
     code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", *flags)
@@ -265,7 +278,9 @@ def test_bench_empty_suite_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--timeout", "0"], ["--workers", "0"], ["--runs", "0"]], ids=["timeout", "workers", "runs"]
+    "flags",
+    [["--timeout", "0"], ["--timeout", "nan"], ["--workers", "0"], ["--runs", "0"], ["--strength", "0"]],
+    ids=["timeout", "timeout-nan", "workers", "runs", "strength-0"],
 )
 def test_bench_bad_flag_values_are_usage_errors(capsys, tmp_path, flags):
     suite = tmp_path / "suite.txt"
@@ -275,6 +290,17 @@ def test_bench_bad_flag_values_are_usage_errors(capsys, tmp_path, flags):
     assert code == EXIT_USAGE
     assert out == ""
     assert not log.exists()
+
+
+def test_bench_checks_the_strength_of_every_instance_before_any_file(capsys, tmp_path, no_search):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("fine,2^3\ntiny,2^2\n")
+    argv = ["bench", "--suite", str(suite), "--runs", "1", "--strength", "3"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "bench.csv"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "suite instance tiny: strength must lie in 1..2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--log"])

@@ -11,14 +11,11 @@ from locaray import (
     TestArray,
     apply_move,
     build_index,
-    collisions,
-    cost,
     entry_move,
     overwrite_move,
     parse_model,
     rho,
     random_array,
-    uncovered,
     undo_move,
     verify,
 )
@@ -50,46 +47,44 @@ def random_move(arr, rng):
 
 def test_printer_locating_has_zero_cost(printer_locating):
     index = build_index(printer_locating, 2)
-    assert uncovered(index) == 0
-    assert collisions(index) == 0
-    assert cost(index, 4.0) == 0.0
+    assert index.uncovered_count == 0
+    assert index.collision_count == 0
+    assert index.cost(4.0) == 0.0
 
 
 def test_empty_array_cost():
     index = build_index(TestArray(SutModel((2, 2, 2)), []), 2)
-    assert uncovered(index) == 12
+    assert index.uncovered_count == 12
     # only non-empty shared row sets count as collisions
-    assert collisions(index) == 0
-    assert cost(index, 4.0) == 48.0
+    assert index.collision_count == 0
+    assert index.cost(4.0) == 48.0
 
 
 def test_two_identical_rows():
     index = build_index(TestArray(SutModel((2, 2, 2)), [[0, 0, 0], [0, 0, 0]]), 2)
-    assert uncovered(index) == 9
-    assert collisions(index) == 3
+    assert index.uncovered_count == 9
+    assert index.collision_count == 3
 
 
 def test_single_row():
     index = build_index(TestArray(SutModel((2, 2, 2)), [[1, 0, 1]]), 2)
-    assert uncovered(index) == 9
-    assert collisions(index) == 3
+    assert index.uncovered_count == 9
+    assert index.collision_count == 3
 
 
 def test_covering_printer_array_counters(printer_covering):
     index = build_index(printer_covering, 2)
-    assert uncovered(index) == 0
+    assert index.uncovered_count == 0
     # pinned by brute force over all interaction pairs
-    assert collisions(index) == 24
+    assert index.collision_count == 24
 
 
 def test_weight_handling(printer_covering):
     index = build_index(printer_covering, 2)
-    assert cost(index, 0.0) == collisions(index)
-    with pytest.raises(ValueError):
-        cost(index, -1.0)
+    assert index.cost(0.0) == index.collision_count
     # monotone in weight once something is uncovered
     partial = build_index(TestArray(SutModel((2, 2, 2)), [[0, 0, 0]]), 2)
-    assert cost(partial, 0.0) < cost(partial, 1.0) < cost(partial, 4.0)
+    assert partial.cost(0.0) < partial.cost(1.0) < partial.cost(4.0)
 
 
 def test_strength_out_of_range(printer_covering):
@@ -111,7 +106,9 @@ def test_rowsets_match_rho_on_random_arrays():
         index = build_index(arr, t)
         for tid in range(len(index.catalog)):
             interaction = index.catalog.interaction_at(tid)
-            assert index.rho_set(tid) == rho(arr, interaction)
+            rows = frozenset(i + 1 for i in range(arr.m) if index.rowsets[tid] >> i & 1)
+            assert rows == rho(arr, interaction)
+            assert index.rowsets[tid] >> arr.m == 0  # no bit past the last row
 
 
 # --- moves ----------------------------------------------------------------------
@@ -174,21 +171,21 @@ def test_delta_matches_full_recompute():
         arr = random_array(model, 8, rng)
         index = build_index(arr, 2)
         for _ in range(150):
-            before = cost(index, weight)
+            before = index.cost(weight)
             move = random_move(arr, rng)
             delta = apply_move(index, arr, move, weight=weight)
             rebuilt = build_index(arr, 2)
             assert index.snapshot() == rebuilt.snapshot()
-            assert delta == cost(rebuilt, weight) - before
+            assert delta == rebuilt.cost(weight) - before
 
 
 def test_delta_on_smallest_case():
     arr = TestArray(SutModel((2,)), [[0]])
     index = build_index(arr, 1)
     move = entry_move(arr, 0, 0, 1)
-    before = cost(index, 1.0)
+    before = index.cost(1.0)
     delta = apply_move(index, arr, move, weight=1.0)
-    assert delta == cost(build_index(arr, 1), 1.0) - before
+    assert delta == build_index(arr, 1).cost(1.0) - before
 
 
 def test_incremental_consistency_over_long_walks():
@@ -220,9 +217,13 @@ def test_walk_keeps_sample_sets_and_groups_equal_to_rebuild():
             if rng.random() < 0.3:
                 undo_move(index, arr, move)
         rebuilt = build_index(arr, t)
-        assert set(index.uncovered_ids._items) == set(rebuilt.uncovered_ids._items)
-        assert set(index.colliding_ids._items) == set(rebuilt.colliding_ids._items)
+        assert set(index.uncovered_ids) == set(rebuilt.uncovered_ids)
+        assert set(index.colliding_ids) == set(rebuilt.colliding_ids)
         assert len(index.colliding_ids) == index.collision_count
+        # each position dict maps its list's tids to their slots, with no repeats
+        for ids, pos in ((index.uncovered_ids, index._uncovered_pos), (index.colliding_ids, index._colliding_pos)):
+            assert pos == {tid: p for p, tid in enumerate(ids)}
+            assert len(pos) == len(ids)
         assert index._groups == rebuilt._groups
         # a row set held by one interaction is stored as that bare tid
         for members in index._groups.values():
@@ -241,7 +242,7 @@ def test_cost_zero_iff_locating_exhaustive_tiny_models():
             arr = TestArray(model, rows)
             for t in (1, 2):
                 index = build_index(arr, t)
-                assert (cost(index, 1.0) == 0) == verify(arr, t).is_locating_1bar
+                assert (index.cost(1.0) == 0) == verify(arr, t).is_locating_1bar
 
 
 def test_cost_zero_iff_locating_random_sample():
@@ -251,15 +252,16 @@ def test_cost_zero_iff_locating_random_sample():
         t = rng.randint(1, min(3, model.k))
         arr = random_array(model, rng.randint(0, 9), rng)
         index = build_index(arr, t)
-        assert (cost(index, 1.0) == 0) == verify(arr, t).is_locating_1bar
+        assert (index.cost(1.0) == 0) == verify(arr, t).is_locating_1bar
 
 
 # --- capacity ---------------------------------------------------------------------
 
 
-def test_capacity_error_reports_interaction_count(printer_covering):
+def test_capacity_error_reports_interaction_count(printer_covering, monkeypatch):
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
     with pytest.raises(CapacityError) as exc_info:
-        build_index(printer_covering, 2, memory_budget_mb=0)
+        build_index(printer_covering, 2)
     assert exc_info.value.n_interactions == 30
 
 

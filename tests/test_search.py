@@ -364,6 +364,9 @@ def test_budget_validation():
         SearchBudget(max_retries=0)
     with pytest.raises(ValueError):
         SearchBudget(timeout=0)
+    with pytest.raises(ValueError):
+        SearchBudget(timeout=float("nan"))
+    assert SearchBudget(timeout=float("inf")).timeout == float("inf")  # no deadline
 
 
 # --- parallel restarts ----------------------------------------------------------
