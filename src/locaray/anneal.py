@@ -156,7 +156,9 @@ def sa_run(
         delta = apply_move(index, array, move, weight)
         if index.is_locating():
             return array
-        accepted = delta <= 0 or rng.random() < math.exp(-delta / temperature)
+        # a cooling rate <= 0.5 underflows the temperature to 0.0, where exp(-delta/T)
+        # is 0; the draw is still made, so the rng stream stays the same
+        accepted = delta <= 0 or rng.random() < (math.exp(-delta / temperature) if temperature else 0.0)
         if not accepted:
             undo_move(index, array, move)
         if observer is not None:

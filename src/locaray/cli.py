@@ -34,48 +34,53 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_anneal_flags(p):
-    p.add_argument("--weight", type=float, default=4.0, help="uncovered-interaction penalty weight (default 4.0)")
-    p.add_argument("--t-init", type=float, default=0.5, help="initial temperature (default 0.5)")
-    p.add_argument("--k-max", type=int, default=2048, help="iterations per annealing run (default 2048)")
-    p.add_argument("--cooling", type=float, default=0.999, help="geometric cooling rate (default 0.999)")
-    p.add_argument("--strategy", choices=STRATEGIES, default="proposed", help="neighbor selection strategy")
-    p.add_argument("--max-retries", type=int, default=3, help="consecutive failures ending the shrink phase (default 3)")
-    p.add_argument("--timeout", type=float, default=3600.0, help="wall-clock budget in seconds per run (default 3600)")
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
+def _add_run_flags(p, budget: SearchBudget):
+    """--timeout, --seed and --workers, shared by generate and bench."""
+    p.add_argument("--timeout", type=float, default=budget.timeout, help="wall-clock budget in seconds per run (default %(default)s)")
+    p.add_argument("--seed", type=int, default=budget.seed, help="root RNG seed (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1, help="processes for independent runs (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="locaray", description="Construct and verify locating arrays for combinatorial interaction testing.")
     sub = parser.add_subparsers(dest="command", required=True)
+    params, budget = AnnealParams(), SearchBudget()  # the library's defaults
 
     g = sub.add_parser("generate", help="construct a locating array")
+    g.set_defaults(run=cmd_generate)
     g.add_argument("--model", required=True, help="model spec, e.g. '2^13 4^5' or '2,2,2,3'")
     g.add_argument("--strength", type=int, required=True, help="interaction strength t")
-    _add_anneal_flags(g)
-    g.add_argument("--workers", type=int, default=1, help="independent parallel restarts (default 1)")
+    g.add_argument("--weight", type=float, default=params.weight, help="uncovered-interaction penalty weight (default %(default)s)")
+    g.add_argument("--t-init", type=float, default=params.t_init, help="initial temperature (default %(default)s)")
+    g.add_argument("--k-max", type=int, default=params.k_max, help="iterations per annealing run (default %(default)s)")
+    g.add_argument("--cooling", type=float, default=params.cooling, help="geometric cooling rate (default %(default)s)")
+    g.add_argument("--strategy", choices=STRATEGIES, default=params.strategy, help="neighbor selection strategy (default %(default)s)")
+    g.add_argument("--max-retries", type=int, default=budget.max_retries, help="consecutive failures ending the shrink phase (default %(default)s)")
+    _add_run_flags(g, budget)
     g.add_argument("--out", help="array file to write (stdout when omitted)")
 
     v = sub.add_parser("verify", help="check the covering/locating properties of an array file")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("--array", required=True, help="array file to check")
     v.add_argument("--strength", type=int, help="override the strength recorded in the file")
 
     b = sub.add_parser("bound", help="print the search bounds for a model")
+    b.set_defaults(run=cmd_bound)
     b.add_argument("--model", required=True)
     b.add_argument("--strength", type=int, required=True)
 
     l = sub.add_parser("locate", help="map a failing-test set to candidate faulty interactions")
+    l.set_defaults(run=cmd_locate)
     l.add_argument("--array", required=True)
     l.add_argument("--failing", required=True, help="comma-separated 1-based failing row indices (empty for none)")
     l.add_argument("--strength", type=int, help="override the strength recorded in the file")
 
     be = sub.add_parser("bench", help="run a benchmark suite and emit a CSV summary")
+    be.set_defaults(run=cmd_bench)
     be.add_argument("--suite", help="suite file of 'name,model' lines (bundled 35-instance suite when omitted)")
-    be.add_argument("--runs", type=int, default=5, help="runs per instance (default 5)")
-    be.add_argument("--strength", type=int, default=2)
-    be.add_argument("--timeout", type=float, default=3600.0, help="per-run timeout in seconds (default 3600)")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--workers", type=int, default=1, help="parallel runs per instance (default 1)")
+    be.add_argument("--runs", type=int, default=5, help="runs per instance (default %(default)s)")
+    be.add_argument("--strength", type=int, default=2, help="interaction strength t (default %(default)s)")
+    _add_run_flags(be, budget)
     be.add_argument("--out", help="CSV path (stdout when omitted)")
     be.add_argument("--log", help="per-run detail log (default: <out>.log, or bench.log)")
     return parser
@@ -204,13 +209,11 @@ def cmd_locate(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
     _check_strength(t, array.model)
-    text = args.failing.strip()
     try:
-        failing = frozenset(int(x) for x in text.split(",") if x.strip()) if text else frozenset()
+        failing = frozenset(int(x) for x in args.failing.split(",") if x.strip())
         hits = locate_fault(array, failing, t)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc))
     print(f"candidates={len(hits)}")
     for interaction in hits:
         print(str(interaction))
@@ -242,15 +245,10 @@ def cmd_bench(args) -> int:
             with open(args.suite) as fh:
                 text = fh.read()
         except OSError as exc:
-            print(f"cannot read suite {args.suite}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"cannot read suite {args.suite}: {exc}")
     else:
         text = _bundled_suite_text()
-    try:
-        entries = load_suite(text)
-    except (ValueError, ModelParseError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    entries = _usage_checked(load_suite, text)
     if not entries:
         raise _UsageError("the suite lists no instances")
     for name, spec in entries:
@@ -309,16 +307,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bound":
-            return cmd_bound(args)
-        if args.command == "locate":
-            return cmd_locate(args)
-        if args.command == "bench":
-            return cmd_bench(args)
+        return args.run(args)
     except ModelParseError as exc:
         print(f"bad model: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -329,7 +318,6 @@ def main(argv=None) -> int:
         print(f"capacity: {exc}", file=sys.stderr)
         print(f"interactions={exc.n_interactions}")
         return EXIT_CAPACITY
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def run() -> None:

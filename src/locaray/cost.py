@@ -6,11 +6,13 @@ interactions covered by no row and C counts interactions that share their
 for any positive weight, exactly when the array is a locating array.
 
 The index keeps, per interaction, its covering row set as a bit mask, plus
-a grouping of equal non-empty masks so both counters can be maintained in
-O(1) per touched interaction.  A group is a bare interaction id while only
-one interaction has that row set, and becomes a set once two or more share
-it; most interactions of a nearly locating array are alone in their group,
-so a retarget usually moves one dict slot and touches no set.
+a grouping of equal non-empty masks and the lists of uncovered and of
+colliding interaction ids, all maintained in O(1) per touched interaction;
+U and C are the lengths of those two lists.  A group is a bare interaction
+id while only one interaction has that row set, and becomes a set once two
+or more share it; most interactions of a nearly locating array are alone
+in their group, so a retarget usually moves one dict slot and touches no
+set.
 
 The build fills every row set at once with a column-mask kernel: one mask
 of rows per (factor, value), and each interaction's row set is the AND of
@@ -101,8 +103,8 @@ class CoverageIndex:
 
     Bound to a single search run; mutated in lock step with its array via
     ``apply_move``/``undo_move``, where an undo reverts the last move
-    applied.  ``uncovered_count`` and ``collision_count`` are the two cost
-    components.
+    applied.  ``uncovered_count`` and ``collision_count``, the two cost
+    components, are the lengths of the tid lists below.
 
     ``uncovered_ids`` and ``colliding_ids`` list the tids of each kind for
     uniform random picks, ``ids[rng.randrange(len(ids))]``; a position
@@ -120,7 +122,6 @@ class CoverageIndex:
             raise CapacityError(n, budget)
 
         self.model = model
-        self.strength = t
         self.catalog = enumerate_interactions(model, t)
         self.rowsets: list[int] = []
         self.uncovered_ids: list[int] = []
@@ -185,8 +186,6 @@ class CoverageIndex:
             else:
                 members.add(tid)
                 colliding.append(tid)
-        self.uncovered_count = len(uncovered)
-        self.collision_count = len(colliding)
         self._uncovered_pos = {tid: p for p, tid in enumerate(uncovered)}
         self._colliding_pos = {tid: p for p, tid in enumerate(colliding)}
 
@@ -211,11 +210,10 @@ class CoverageIndex:
     def _toggle(self, bit: int, tids: list[int]) -> None:
         """Flip ``bit`` in the row set of each tid, in order.
 
-        A tid leaves its group, or the uncovered set, and joins the group of
-        its new row set, or the uncovered set.  Group-size transitions drive
-        the counters: leaving a group of 2 clears collision status for both
-        members, joining a singleton sets it for both, and sizes >= 3 move a
-        single member's status.
+        A tid leaves its group, or the uncovered list, and joins the group of
+        its new row set, or the uncovered list.  Group-size transitions drive
+        the colliding list: leaving a group of 2 removes both members,
+        joining a singleton adds both, and sizes >= 3 move a single member.
         """
         rowsets = self.rowsets
         groups = self._groups
@@ -223,8 +221,6 @@ class CoverageIndex:
         u_pos = self._uncovered_pos
         c_items = self.colliding_ids
         c_pos = self._colliding_pos
-        u = self.uncovered_count
-        c = self.collision_count
         for tid in tids:
             rs = rowsets[tid]
             if rs:
@@ -239,7 +235,6 @@ class CoverageIndex:
                     if len(members) == 1:
                         other = members.pop()
                         groups[rs] = other
-                        c -= 2
                         p = c_pos.pop(other)
                         last = c_items.pop()
                         if last != other:
@@ -247,9 +242,7 @@ class CoverageIndex:
                             c_pos[last] = p
                     else:
                         groups[rs] = members
-                        c -= 1
             else:
-                u -= 1
                 p = u_pos.pop(tid)
                 last = u_items.pop()
                 if last != tid:
@@ -262,28 +255,31 @@ class CoverageIndex:
                 if members is not tid:  # the row set was taken
                     if type(members) is int:
                         groups[rs] = {members, tid}
-                        c += 2
                         c_pos[members] = len(c_items)
                         c_items.append(members)
                     else:
                         members.add(tid)
-                        c += 1
                     c_pos[tid] = len(c_items)
                     c_items.append(tid)
             else:
-                u += 1
                 u_pos[tid] = len(u_items)
                 u_items.append(tid)
-        self.uncovered_count = u
-        self.collision_count = c
 
     # --- queries ---------------------------------------------------------
 
+    @property
+    def uncovered_count(self) -> int:
+        return len(self.uncovered_ids)
+
+    @property
+    def collision_count(self) -> int:
+        return len(self.colliding_ids)
+
     def cost(self, weight: float) -> float:
-        return weight * self.uncovered_count + self.collision_count
+        return weight * len(self.uncovered_ids) + len(self.colliding_ids)
 
     def is_locating(self) -> bool:
-        return self.uncovered_count == 0 and self.collision_count == 0
+        return not self.uncovered_ids and not self.colliding_ids
 
     def snapshot(self):
         """Comparable state for consistency checks in tests."""
@@ -305,7 +301,7 @@ def apply_move(index: CoverageIndex, array: TestArray, move: Move, weight: float
     The index logs the move and the tids each of its entry changes toggled,
     for ``undo_move``.
     """
-    before = weight * index.uncovered_count + index.collision_count
+    before = index.cost(weight)
     rows = array.rows
     entry_changed = index._entry_changed
     logged = []
@@ -315,7 +311,7 @@ def apply_move(index: CoverageIndex, array: TestArray, move: Move, weight: float
         logged.append(entry_changed(row, i, j, old, new))
     index._last_move = move
     index._last_tids = logged
-    return weight * index.uncovered_count + index.collision_count - before
+    return index.cost(weight) - before
 
 
 def undo_move(index: CoverageIndex, array: TestArray, move: Move) -> None:

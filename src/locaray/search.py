@@ -36,19 +36,6 @@ def derive_seed(root: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class SeedStream:
-    """Counter-based child seeds so every annealing run is independently seeded."""
-
-    def __init__(self, root: int):
-        self.root = root
-        self._counter = 0
-
-    def next_rng(self) -> Random:
-        seed = derive_seed(self.root, f"sa:{self._counter}")
-        self._counter += 1
-        return Random(seed)
-
-
 def tang_lower_bound(k: int, t: int, v: int) -> int:
     """Closed-form lower bound (Tang/Colbourn/Yin) on locating-array size.
 
@@ -136,7 +123,6 @@ def construct(
     """
     params = params or AnnealParams()
     budget = budget or SearchBudget()
-    seeds = SeedStream(budget.seed)
     started = time.monotonic()
     deadline = started + budget.timeout
     history: list[ProbeRecord] = []
@@ -167,7 +153,9 @@ def construct(
             timed_out = True
             break
         probe_start = time.monotonic()
-        found = sa_run(model, t, size, params, seeds.next_rng(), deadline)
+        # one record per probe, so probe n runs on child seed "sa:n"
+        rng = Random(derive_seed(budget.seed, f"sa:{len(history)}"))
+        found = sa_run(model, t, size, params, rng, deadline)
         history.append(ProbeRecord(size, found is not None, time.monotonic() - probe_start))
         if found is not None:
             best, best_at = found, time.monotonic() - started

@@ -138,14 +138,14 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
     each of those masks holds every failing row.  Only factors whose mask
     does are combined, in ascending order, which keeps the catalog order.
     """
+    if not 1 <= t <= array.model.k:
+        raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
     failing = frozenset(failing)
     for i in failing:
         if not 1 <= i <= array.m:
             raise ValueError(f"failing row index {i} out of range 1..{array.m}")
     if not failing:
         return []
-    if not 0 <= t <= array.model.k:
-        raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
     target = 0
     for i in failing:
         target |= 1 << (i - 1)

@@ -18,21 +18,17 @@ from locaray import (
     SearchBudget,
     SutModel,
     TestArray,
-    apply_move,
-    build_index,
     construct,
-    derive_seed,
     format_array,
     locate_fault,
     parse_model,
-    random_array,
     rho,
     tang_lower_bound,
-    undo_move,
     verify,
 )
-from locaray.cost import entry_move, overwrite_move
-from locaray.model import enumerate_interactions
+from locaray.cost import apply_move, build_index, entry_move, overwrite_move, undo_move
+from locaray.model import enumerate_interactions, random_array
+from locaray.search import derive_seed
 from tests.conftest import PRINTER_COVERING_ROWS, PRINTER_LOCATING_ROWS, PRINTER_MODEL
 from tests.literal_oracle import literal_locate_fault, literal_verify
 

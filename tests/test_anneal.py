@@ -5,21 +5,14 @@ import pytest
 
 from locaray import (
     AnnealParams,
-    NoNeighborError,
     SutModel,
     TestArray,
-    apply_move,
-    build_index,
-    entry_move,
-    overwrite_move,
-    random_array,
     rho,
-    sa_run,
-    select_neighbor_baseline,
-    select_neighbor_proposed,
-    undo_move,
     verify,
 )
+from locaray.anneal import NoNeighborError, sa_run, select_neighbor_baseline, select_neighbor_proposed
+from locaray.cost import apply_move, build_index, entry_move, overwrite_move, undo_move
+from locaray.model import random_array
 from tests.conftest import PRINTER_COVERING_ROWS, PRINTER_MODEL
 
 
@@ -303,6 +296,34 @@ def test_rigged_rng_rejects_every_uphill_move():
         assert accepted == (delta <= 0)
     running = [c for _, _, c in costs]
     assert all(b <= a + 1e-9 for a, b in zip(running, running[1:]))
+
+
+class _CountingRng(random.Random):
+    """Counts Metropolis draws; overriding getrandbits too keeps randrange's stream."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def test_zero_temperature_rejects_uphill_moves_and_keeps_drawing():
+    # cooling 0.01 underflows the temperature to 0.0 within ~170 iterations;
+    # from then on exp(-delta/T) counts as 0, and each uphill move still draws
+    rng = _CountingRng(1)
+    events = []
+    result = sa_run(
+        SutModel((2, 2, 2)), 2, 5, AnnealParams(cooling=0.01), rng,
+        observer=lambda it, temp, delta, acc, c: events.append((temp, delta, acc)),
+    )
+    assert result is None  # 5 rows are below the optimum of 6
+    frozen = [acc for temp, delta, acc in events if temp == 0.0 and delta > 0]
+    assert frozen and not any(frozen)
+    assert rng.draws == sum(1 for _, delta, _ in events if delta > 0)
 
 
 def test_sa_respects_deadline():

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import io
 import subprocess
 import sys
 
 import pytest
 
-from locaray import cli, format_array, load_array, verify
+from locaray import AnnealParams, SearchBudget, cli, format_array, load_array, verify
 from locaray.cli import EXIT_CAPACITY, EXIT_NO_ARRAY, EXIT_NOT_LOCATING, EXIT_OK, EXIT_USAGE, load_suite, main
 
 
@@ -154,6 +155,18 @@ def test_generate_bad_flag_values_are_usage_errors(capsys, flags):
     assert code == EXIT_USAGE
     assert out == ""
     assert err
+
+
+def test_generate_cooling_that_freezes_the_temperature_succeeds(capsys, tmp_path):
+    # cooling 0.01 underflows the temperature to 0.0 long before k_max
+    out_path = tmp_path / "c.la"
+    code, _, _ = run_cli(
+        capsys, "generate", "--model", "2^6", "--strength", "2",
+        "--cooling", "0.01", "--seed", "1", "--out", str(out_path),
+    )
+    assert code == EXIT_OK
+    array, t = load_array(str(out_path))
+    assert verify(array, t).is_locating_1bar
 
 
 def test_generate_bad_memory_budget_is_usage_error(capsys, monkeypatch):
@@ -372,6 +385,32 @@ def test_suite_parse_errors():
 
 
 # --- entry point -------------------------------------------------------------------
+
+
+def help_entries(capsys, command) -> dict[str, str]:
+    """Each option's help entry, keyed by flag, with argparse's line wrapping undone."""
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK
+    options = " ".join(out.split("\n\n", 1)[1].split())  # the text after the usage block
+    return {entry.split()[0]: entry for entry in ("--" + part for part in options.split(" --")[1:])}
+
+
+def test_generate_help_shows_every_library_default(capsys):
+    entries = help_entries(capsys, "generate")
+    for defaults in (AnnealParams(), SearchBudget()):
+        for f in dataclasses.fields(defaults):
+            flag = "--" + f.name.replace("_", "-")
+            assert entries[flag].endswith(f"(default {getattr(defaults, f.name)})"), entries[flag]
+    assert entries["--workers"].endswith("(default 1)")
+
+
+def test_bench_help_shows_every_library_default(capsys):
+    entries = help_entries(capsys, "bench")
+    budget = SearchBudget()
+    assert entries["--timeout"].endswith(f"(default {budget.timeout})")
+    assert entries["--seed"].endswith(f"(default {budget.seed})")
+    for flag, default in (("--workers", 1), ("--runs", 5), ("--strength", 2)):
+        assert entries[flag].endswith(f"(default {default})"), entries[flag]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -8,16 +8,13 @@ from locaray import (
     ModelParseError,
     SutModel,
     TestArray,
-    covers,
-    enumerate_interactions,
     format_array,
     interaction_count,
     parse_array,
     parse_model,
-    random_array,
     rho,
 )
-from locaray.model import MAX_FACTORS
+from locaray.model import MAX_FACTORS, covers, enumerate_interactions, random_array
 
 
 def brute_force_interactions(model, t):

@@ -6,12 +6,11 @@ from locaray import (
     Interaction,
     SutModel,
     TestArray,
-    enumerate_interactions,
     locate_fault,
-    random_array,
     rho,
     verify,
 )
+from locaray.model import enumerate_interactions, random_array
 from locaray.verify import DEFAULT_COLLISION_PAIRS
 from tests.literal_oracle import literal_locate_fault, literal_verify
 
@@ -130,6 +129,17 @@ def test_locate_fault_rejects_bad_row_index(printer_locating):
         locate_fault(printer_locating, {0}, 2)
     with pytest.raises(ValueError):
         locate_fault(printer_locating, {11}, 2)
+
+
+@pytest.mark.parametrize("t", [0, -1, 5])
+def test_locate_fault_rejects_strength_outside_1_to_k(printer_locating, t):
+    # t is checked as verify checks it; at t=0 the literal oracle would
+    # return the empty interaction when every row fails
+    every_row = set(range(1, printer_locating.m + 1))
+    with pytest.raises(ValueError, match="out of range"):
+        locate_fault(printer_locating, every_row, t)
+    with pytest.raises(ValueError, match="out of range"):
+        verify(printer_locating, t)
 
 
 def test_locate_fault_inverts_rho_on_locating_array(printer_locating):
