@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 from .anneal import AnnealParams, STRATEGIES
-from .cost import CapacityError, memory_budget_from_env
+from .cost import CapacityError, check_capacity, memory_budget_from_env
 from .model import ModelParseError, load_array, parse_model, save_array, format_array
 from .search import SearchBudget, construct_runs, derive_seed, initial_bounds, parallel_construct
 from .verify import verify, locate_fault
@@ -173,6 +173,7 @@ def cmd_verify(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
     _check_strength(t, array.model)
+    _usage_checked(check_capacity, array.model, t)
     report = verify(array, t)
     print(f"model={array.model.spec_text()}")
     print(f"rows={array.m}")

@@ -35,7 +35,7 @@ undo reverts only the last move applied; any other move raises.
 import os
 from dataclasses import dataclass
 
-from .model import Interaction, TestArray, enumerate_interactions, interaction_count
+from .model import Interaction, SutModel, TestArray, enumerate_interactions, interaction_count
 
 DEFAULT_MEM_BUDGET_MB = 512
 MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
@@ -67,6 +67,16 @@ def memory_budget_from_env() -> int:
     if not text.strip().isdecimal():
         raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
     return int(text)
+
+
+def check_capacity(model: SutModel, t: int) -> None:
+    """Raise CapacityError when the strength-t catalog of ``model`` would
+    not fit the memory budget, and ValueError when the budget setting is
+    malformed."""
+    n = interaction_count(model, t)
+    budget = memory_budget_from_env()
+    if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
+        raise CapacityError(n, budget)
 
 
 @dataclass(frozen=True)
@@ -116,10 +126,7 @@ class CoverageIndex:
         model = array.model
         if not 1 <= t <= model.k:
             raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
-        n = interaction_count(model, t)
-        budget = memory_budget_from_env()
-        if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
-            raise CapacityError(n, budget)
+        check_capacity(model, t)
 
         self.model = model
         self.catalog = enumerate_interactions(model, t)

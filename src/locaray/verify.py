@@ -10,12 +10,20 @@ interactions share the same covering row set.
 The kernel keeps one bit mask of rows per (factor, value), bit i set when
 row i + 1 holds that value.  The row set of an interaction is the AND of
 the masks of its t pairs, so a whole catalog of row sets costs about |I_t|
-big-int ANDs instead of |I_t| * m row scans.  ``Interaction`` objects are
-built only for what a report or a fault query returns.
+big-int ANDs instead of |I_t| * m row scans.
+
+``verify`` counts the interactions of each distinct row set and builds a
+member list only for the shared row sets, plus the empty one.
+``locate_fault`` never builds the whole kernel: comparing the failing rows
+picks the few factors an answer can use, |F| * k compares, and only those
+factors get a mask.  ``Interaction`` objects are built only for what a
+report or a fault query returns.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .model import Interaction, TestArray, enumerate_interactions
 
@@ -54,6 +62,15 @@ def _column_masks(array: TestArray) -> list[list[int]]:
     return masks
 
 
+def _value_mask(array: TestArray, j: int, value: int) -> int:
+    """One entry of ``_column_masks``: bit i set iff row i has ``value`` at factor j."""
+    bits = 0
+    for i, row in enumerate(array.rows):
+        if row[j] == value:
+            bits |= 1 << i
+    return bits
+
+
 def _row_sets(array: TestArray, catalog) -> list[int]:
     """Covering row set of every catalog interaction, in catalog order.
 
@@ -71,8 +88,13 @@ def _row_sets(array: TestArray, catalog) -> list[int]:
 
 
 def _rows(bits: int) -> frozenset[int]:
-    """1-based row indices of a row-set mask."""
-    return frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+    """1-based row indices of a row-set mask, peeled off lowest bit first."""
+    rows = []
+    while bits:
+        low = bits & -bits
+        rows.append(low.bit_length())  # bit i is row i + 1
+        bits ^= low
+    return frozenset(rows)
 
 
 def verify(
@@ -81,33 +103,38 @@ def verify(
     """Check the covering and locating properties of ``array`` at strength ``t``.
 
     Interactions are grouped by covering row set; every group of size g
-    contributes C(g, 2) colliding pairs.  ``max_collision_pairs`` caps only
-    the materialized pair list, never the reported count; ``None`` lists
-    every pair, which on a near-empty array is about |I_t|^2 / 2 of them.
+    contributes C(g, 2) colliding pairs.  Pairs are listed group by group,
+    in the order the groups' row sets first occur in the catalog.
+    ``max_collision_pairs`` caps only the materialized pair list, never the
+    reported count; ``None`` lists every pair, which on a near-empty array
+    is about |I_t|^2 / 2 of them.
     """
     if not 1 <= t <= array.model.k:
         raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
     catalog = enumerate_interactions(array.model, t)
-
-    groups: dict[int, list[int]] = {}
-    for tid, bits in enumerate(_row_sets(array, catalog)):
-        groups.setdefault(bits, []).append(tid)
-    interaction = catalog.interaction_at
-    uncovered = [interaction(tid) for tid in groups.get(0, ())]
-
-    collision_count = sum(
-        len(members) * (len(members) - 1) // 2 for members in groups.values()
-    )
+    rowsets = _row_sets(array, catalog)
+    counts = Counter(rowsets)  # row set -> group size, in first-occurrence order
+    shared = list(itertools.compress(counts, map((1).__lt__, counts.values())))  # size >= 2
+    collision_count = sum(comb(counts[bits], 2) for bits in shared)
     listed = collision_count if max_collision_pairs is None else min(collision_count, max_collision_pairs)
+
+    # member lists only for the shared row sets, and for the empty one,
+    # whose members are the uncovered interactions
+    members: dict[int, list[int]] = {bits: [] for bits in shared}
+    if 0 in counts:
+        members.setdefault(0, [])
+    for tid, bits in itertools.compress(enumerate(rowsets), map(members.__contains__, rowsets)):
+        members[bits].append(tid)
+
+    interaction = catalog.interaction_at
+    uncovered = [interaction(tid) for tid in members.get(0, ())]
     collisions: list[tuple[Interaction, Interaction, frozenset[int]]] = []
-    for bits, members in groups.items():
+    for bits in shared:
         room = listed - len(collisions)
         if room <= 0:
             break
-        if len(members) < 2:
-            continue
         # a group's first `room` pairs pair up only its first room + 1 members
-        pairs = itertools.combinations([interaction(tid) for tid in members[: room + 1]], 2)
+        pairs = itertools.combinations([interaction(tid) for tid in members[bits][: room + 1]], 2)
         rows = _rows(bits)
         collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, room))
 
@@ -133,10 +160,12 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
     failing set; an empty failing set means no fault and yields [].  The
     caller is responsible for having verified the array first.
 
-    An interaction covering every failing row agrees with the first of
-    them, so its row set is the AND of that row's masks on its factors, and
-    each of those masks holds every failing row.  Only factors whose mask
-    does are combined, in ascending order, which keeps the catalog order.
+    An interaction covering every failing row agrees with each of them, so
+    its factors are among those where all failing rows hold one value;
+    finding those candidates takes |F| * k compares.  Its row set is the
+    AND of one row mask per factor, and only the candidates get a mask.
+    Candidates are combined in ascending order, which keeps the catalog
+    order.
     """
     if not 1 <= t <= array.model.k:
         raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
@@ -149,9 +178,10 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
     target = 0
     for i in failing:
         target |= 1 << (i - 1)
-    row = array.rows[min(failing) - 1]
-    masks = [column[row[j]] for j, column in enumerate(_column_masks(array))]
-    factors = [j for j, bits in enumerate(masks) if bits & target == target]
+    failing_rows = [array.rows[i - 1] for i in failing]
+    row = failing_rows[0]
+    factors = [j for j, column in enumerate(zip(*failing_rows)) if column.count(row[j]) == len(failing_rows)]
+    masks = {j: _value_mask(array, j, row[j]) for j in factors}
     hits = []
     for combo in itertools.combinations(factors, t):
         bits = -1  # every row

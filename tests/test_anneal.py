@@ -280,10 +280,16 @@ def test_nonincreasing_moves_always_accepted():
 
 
 class _GreedyRng(random.Random):
-    """Metropolis draw always at the top of [0,1): every uphill move is rejected."""
+    """Metropolis draw always at the top of [0,1): every uphill move is rejected.
+
+    Overriding getrandbits too keeps randrange on the real stream; with
+    random() alone, every randrange(n) would return n - 1."""
 
     def random(self):
         return 0.999999999
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
 
 
 def test_rigged_rng_rejects_every_uphill_move():
@@ -292,6 +298,7 @@ def test_rigged_rng_rejects_every_uphill_move():
         SutModel((2, 2, 2, 3)), 2, 7, AnnealParams(k_max=400), _GreedyRng(21),
         observer=lambda it, temp, delta, acc, c: costs.append((delta, acc, c)),
     )
+    assert any(delta > 0 for delta, _, _ in costs)  # the walk does propose uphill moves
     for delta, accepted, _ in costs:
         assert accepted == (delta <= 0)
     running = [c for _, _, c in costs]

@@ -232,6 +232,23 @@ def test_verify_unreadable_file(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_verify_capacity_exit(capsys, monkeypatch, printer_file):
+    # verify holds a row set per interaction, so the index's budget applies
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    code, out, err = run_cli(capsys, "verify", "--array", printer_file)
+    assert code == EXIT_CAPACITY
+    assert out == "interactions=30\n"
+    assert err.startswith("capacity:")
+
+
+def test_verify_bad_memory_budget_is_usage_error(capsys, monkeypatch, printer_file):
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "abc")
+    code, out, err = run_cli(capsys, "verify", "--array", printer_file)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "LOCARAY_MEM_BUDGET_MB" in err
+
+
 # --- locate ----------------------------------------------------------------------
 
 

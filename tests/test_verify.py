@@ -206,3 +206,50 @@ def test_mask_kernel_matches_literal_scan_across_word_boundaries(m, t):
         failing_sets.append(frozenset(range(1, m + 1)))
         for failing in failing_sets:
             assert locate_fault(array, failing, t) == literal_locate_fault(array, failing, t)
+
+
+# --- differential checks against the literal oracle ------------------------------
+
+
+def _random_case(rng: random.Random, t: int) -> TestArray:
+    """A random small model at strength t and an array over it: usually a
+    few rows, sometimes 63-130 so that row masks cross machine words, and
+    half the time drawn from a pool of two or three rows so that large
+    groups share a non-empty row set."""
+    model = SutModel(tuple(rng.randint(2, 3) for _ in range(rng.randint(t, 5))))
+    m = rng.choice([*range(13), 63, 64, 65, 130])
+    if rng.random() < 0.5:
+        return random_array(model, m, rng)
+    pool = random_array(model, rng.randint(2, 3), rng).rows
+    return TestArray(model, [list(rng.choice(pool)) for _ in range(m)])
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_locate_fault_matches_literal_oracle_on_random_cases(t):
+    rng = random.Random(f"locate:{t}")
+    cases = 0
+    while cases < 700:
+        array = _random_case(rng, t)
+        if not array.m:
+            continue
+        catalog = enumerate_interactions(array.model, t)
+        failing_sets = [
+            frozenset(),
+            frozenset({rng.randint(1, array.m)}),
+            frozenset(range(1, array.m + 1)),
+            frozenset(rng.sample(range(1, array.m + 1), rng.randint(1, array.m))),
+            rho(array, catalog.interaction_at(rng.randrange(len(catalog)))),
+        ]
+        for failing in failing_sets:
+            assert locate_fault(array, failing, t) == literal_locate_fault(array, failing, t)
+        cases += len(failing_sets)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_verify_matches_literal_oracle_at_every_cap(t):
+    # equal reports include the pair order and collisions_truncated
+    rng = random.Random(f"verify:{t}")
+    for _ in range(60):
+        array = _random_case(rng, t)
+        for cap in (None, 0, 1, 5, 1000):
+            assert verify(array, t, max_collision_pairs=cap) == literal_verify(array, t, cap)
