@@ -22,6 +22,8 @@ EXIT_NO_ARRAY = 2
 EXIT_CAPACITY = 3
 EXIT_USAGE = 64
 
+SHOWN = 20  # uncovered interactions and colliding pairs `verify` prints, each
+
 
 class _UsageError(Exception):
     pass
@@ -174,7 +176,7 @@ def cmd_verify(args) -> int:
     t = args.strength if args.strength is not None else file_t
     _check_strength(t, array.model)
     _usage_checked(check_capacity, array.model, t)
-    report = verify(array, t)
+    report = verify(array, t, max_collision_pairs=SHOWN)
     print(f"model={array.model.spec_text()}")
     print(f"rows={array.m}")
     print(f"strength={t}")
@@ -187,13 +189,13 @@ def cmd_verify(args) -> int:
         print(f"# OK: every strength-{t} interaction is covered and all covering row sets are distinct")
     else:
         if report.uncovered:
-            print(f"# {len(report.uncovered)} uncovered interactions, first {min(20, len(report.uncovered))}:")
-            for interaction in report.uncovered[:20]:
+            shown = report.uncovered[:SHOWN]
+            print(f"# {len(report.uncovered)} uncovered interactions, first {len(shown)}:")
+            for interaction in shown:
                 print(f"#   uncovered {interaction}")
         if report.collision_count:
-            shown = report.collisions[:20]
-            print(f"# {report.collision_count} colliding pairs, first {len(shown)}:")
-            for a, b, rows in shown:
+            print(f"# {report.collision_count} colliding pairs, first {len(report.collisions)}:")
+            for a, b, rows in report.collisions:
                 print(f"#   {a} ~ {b} rows={{{','.join(str(r) for r in sorted(rows))}}}")
     return EXIT_OK if report.is_locating_1bar else EXIT_NOT_LOCATING
 

@@ -16,34 +16,52 @@ set.
 
 The build fills every row set at once with a column-mask kernel: one mask
 of rows per (factor, value), and each interaction's row set is the AND of
-the masks of its t pairs, about |I_t| big-int ANDs in all.
+the masks of its t pairs, about |I_t| big-int ANDs in all.  It walks the
+combinations by prefix: the partial ANDs of each (t-1)-factor prefix are
+extended by every later factor in one list comprehension, C(k, t-1)
+comprehensions in catalog order rather than one per combination.
 
 A single entry change (row i, factor j) can only affect interactions
 containing factor j whose other pairs match row i, so a move touches
 O(C(k-1, t-1)) interactions rather than all of I_t.  The index finds them
-through per-factor partner tables built once from the catalog: for every
-factor combination containing j, its block offset, j's stride and the
-(factor, stride) pairs of the other factors.  The same path serves every
-strength.  Each interaction touched loses or gains row i, so one toggle
-loop, which XORs the row bit, updates both kinds.
+through per-factor partner tables: for every factor combination
+containing j, its block offset, j's stride and the (factor, stride) pairs
+of the other factors.  The same path serves every strength.  Each
+interaction touched loses or gains row i, so one toggle loop, which XORs
+the row bit, updates both kinds.
+
+The catalog and the partner tables depend only on (model, t).  They are
+read-only tuples, cached for the last (model, t) built, so every probe of
+one construct shares one set; the capacity check still runs on every
+build, before the cache is consulted.
 
 ``apply_move`` logs the tids each entry change toggled, and ``undo_move``
 replays that log rather than walking the partner tables again.  So an
 undo reverts only the last move applied; any other move raises.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 
-from .model import Interaction, SutModel, TestArray, enumerate_interactions, interaction_count
+from .model import (
+    Interaction,
+    InteractionCatalog,
+    SutModel,
+    TestArray,
+    enumerate_interactions,
+    interaction_count,
+)
 
 DEFAULT_MEM_BUDGET_MB = 512
 MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
-# per-interaction footprint of the index (mask, group slot, sample-set slot,
-# share of the partner tables), used only for the fail-fast capacity check.
-# tracemalloc measured 130-230 B on random arrays of 2^40 3^10 (t=2) and
-# 2^10 3^2 (t=3) at 0-80 rows; the peak is near the row count where most
-# interactions collide, so this is the largest figure rounded up.
+# per-interaction footprint of the index (mask, group slot, sample-set slot)
+# plus the catalog and partner tables of its (model, t), which a construct's
+# first build allocates and its later probes share; used only for the
+# fail-fast capacity check.  tracemalloc peaks of a first build were
+# 129-235 B on random arrays of 2^40 3^10 (t=2) and 2^10 3^2 (t=3) at 0-80
+# rows; the peak is near the row count where most interactions collide, so
+# this is the largest figure rounded up.
 _BYTES_PER_INTERACTION = 240
 
 
@@ -126,16 +144,15 @@ class CoverageIndex:
         model = array.model
         if not 1 <= t <= model.k:
             raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
-        check_capacity(model, t)
+        check_capacity(model, t)  # before the cache, so a lowered budget still refuses
 
         self.model = model
-        self.catalog = enumerate_interactions(model, t)
+        self.catalog, self._partners = _tables(model, t)
         self.rowsets: list[int] = []
         self.uncovered_ids: list[int] = []
         self.colliding_ids: list[int] = []
         # row set -> the tid holding it, or the set of tids once two or more share it
         self._groups: dict[int, int | set[int]] = {}
-        self._partners = self._partner_tables()
         # the last move applied and the tids each of its entry changes toggled
         self._last_move: Move | None = None
         self._last_tids: list[list[int]] = []
@@ -144,39 +161,29 @@ class CoverageIndex:
 
     # --- construction --------------------------------------------------
 
-    def _partner_tables(self) -> list[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
-        """Per factor j, one (offset, stride of j, ((other factor, stride), ...))
-        entry for each factor combination containing j, in catalog order.
-
-        The order fixes the order of the sample-set updates of an entry
-        change, and so the positions the RNG picks from: catalog order for
-        a fixed j is ascending in the partner factors at every strength.
-        """
-        catalog = self.catalog
-        tables: list[list] = [[] for _ in range(self.model.k)]
-        shared: dict[tuple, tuple] = {}  # equal partner tuples are stored once
-        for pos, combo in enumerate(catalog.combos):
-            stride = catalog.strides[pos]
-            for d, j in enumerate(combo):
-                others = tuple((jj, stride[e]) for e, jj in enumerate(combo) if e != d)
-                tables[j].append((catalog.offsets[pos], stride[d], shared.setdefault(others, others)))
-        return [tuple(entries) for entries in tables]
-
     def _build(self, array: TestArray) -> None:
         # masks[j][v]: the rows holding value v at factor j; a row set is the
-        # AND of its pairs' masks, extended factor by factor with the last
-        # factor varying fastest, which is the catalog's mixed-radix order
+        # AND of its pairs' masks.  The walk keeps the partial ANDs of each
+        # (t-1)-factor prefix, the last factor varying fastest, and extends
+        # them by every later factor in one comprehension, which yields the
+        # catalog's blocks in order: C(k, t-1) comprehensions, not C(k, t).
         masks = [[0] * v for v in self.model.values]
         for i, row in enumerate(array.rows):
             bit = 1 << i
             for j, value in enumerate(row):
                 masks[j][value] |= bit
         rowsets = self.rowsets
-        for combo in self.catalog.combos:
-            sets = masks[combo[0]]
-            for j in combo[1:]:
-                sets = [a & b for a in sets for b in masks[j]]
-            rowsets += sets
+        k = len(masks)
+        last = self.catalog.strength - 1
+
+        def extend(sets: list[int], start: int, depth: int) -> None:
+            if depth == last:
+                rowsets.extend([a & b for j in range(start, k) for a in sets for b in masks[j]])
+                return
+            for j in range(start, k - last + depth):
+                extend([a & b for a in sets for b in masks[j]], j + 1, depth + 1)
+
+        extend([-1], 0, 0)  # -1: the empty prefix, covered by every row
         groups = self._groups
         uncovered = self.uncovered_ids
         colliding = self.colliding_ids
@@ -291,6 +298,40 @@ class CoverageIndex:
     def snapshot(self):
         """Comparable state for consistency checks in tests."""
         return (tuple(self.rowsets), self.uncovered_count, self.collision_count)
+
+
+def _partner_tables(catalog: InteractionCatalog) -> tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]:
+    """Per factor j, one (offset, stride of j, ((other factor, stride), ...))
+    entry for each factor combination containing j, in catalog order.
+
+    A factor's stride is the product of the value counts of the factors
+    after it in its combination.  The order fixes the order of the
+    sample-set updates of an entry change, and so the positions the RNG
+    picks from: catalog order for a fixed j is ascending in the partner
+    factors at every strength.
+    """
+    values = catalog.model.values
+    tables: list[list] = [[] for _ in values]
+    shared: dict[tuple, tuple] = {}  # equal partner tuples are stored once
+    for combo, offset in zip(catalog.combos, catalog.offsets):
+        strides = []
+        step = 1
+        for j in reversed(combo):
+            strides.append(step)
+            step *= values[j]
+        strides.reverse()
+        for d, j in enumerate(combo):
+            others = tuple((jj, stride) for e, (jj, stride) in enumerate(zip(combo, strides)) if e != d)
+            tables[j].append((offset, strides[d], shared.setdefault(others, others)))
+    return tuple(tuple(entries) for entries in tables)
+
+
+@functools.lru_cache(maxsize=1)
+def _tables(model: SutModel, t: int) -> tuple[InteractionCatalog, tuple]:
+    """The catalog and partner tables of (model, t), read-only and shared by
+    every index built on them, so the probes of one construct build them once."""
+    catalog = enumerate_interactions(model, t)
+    return catalog, _partner_tables(catalog)
 
 
 def build_index(array: TestArray, t: int) -> CoverageIndex:

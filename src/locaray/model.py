@@ -5,6 +5,10 @@ factors can take.  A test is a row assigning one value to every factor; an
 interaction is a partial assignment touching t distinct factors.  The
 central relation is which rows of an array cover which interactions.
 
+``InteractionCatalog`` numbers the strength-t interactions densely, one
+block per factor combination; it holds only the combinations and their
+block offsets, and decodes an index by ``divmod`` over the value counts.
+
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,
 reports, the array file format).
@@ -12,6 +16,7 @@ reports, the array file format).
 
 import bisect
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from random import Random
@@ -205,7 +210,10 @@ class InteractionCatalog:
 
     The canonical order is lexicographic on the sorted factor tuple, then on
     the value tuple.  Indexing is arithmetic: each factor combination gets a
-    contiguous block, with values ranked in mixed radix.
+    contiguous block starting at its offset, with values ranked in mixed
+    radix, the last factor varying fastest.  ``combos`` and ``offsets`` are
+    tuples, so one catalog can be shared by everything built on the same
+    (model, t).
     """
 
     def __init__(self, model: SutModel, t: int):
@@ -213,40 +221,32 @@ class InteractionCatalog:
             raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
         self.model = model
         self.strength = t
-        self.combos: list[tuple[int, ...]] = list(itertools.combinations(range(model.k), t))
-        self.offsets: list[int] = []
-        self.strides: list[tuple[int, ...]] = []
-        off = 0
-        vals = model.values
-        for combo in self.combos:
-            self.offsets.append(off)
-            stride = [1] * t
-            for d in range(t - 2, -1, -1):
-                stride[d] = stride[d + 1] * vals[combo[d + 1]]
-            self.strides.append(tuple(stride))
-            block = 1
-            for j in combo:
-                block *= vals[j]
-            off += block
-        self.size = off
+        self.combos: tuple[tuple[int, ...], ...] = tuple(itertools.combinations(range(model.k), t))
+        value_count = model.values.__getitem__
+        blocks = [math.prod(map(value_count, combo)) for combo in self.combos]
+        *offsets, self.size = itertools.accumulate(blocks, initial=0)
+        self.offsets: tuple[int, ...] = tuple(offsets)
 
     def __len__(self) -> int:
         return self.size
 
     def interaction_at(self, idx: int) -> Interaction:
-        """Interaction at a dense index, in the order iteration yields them."""
+        """Interaction at a dense index, in the order iteration yields them.
+
+        The rank within the block is peeled off from the last factor, which
+        varies fastest, one ``divmod`` by its value count per factor.
+        """
         if not 0 <= idx < self.size:
             raise IndexError(idx)
         pos = bisect.bisect_right(self.offsets, idx) - 1
-        combo = self.combos[pos]
-        stride = self.strides[pos]
         rem = idx - self.offsets[pos]
+        values = self.model.values
         pairs = []
-        for j, step in zip(combo, stride):
-            v, rem = divmod(rem, step)
+        for j in reversed(self.combos[pos]):
+            rem, v = divmod(rem, values[j])
             pairs.append((j, v))
-        # combos are ascending, so the pairs are already canonical
-        return Interaction._canonical(tuple(pairs))
+        # combos are ascending, so the reversed pairs are canonical
+        return Interaction._canonical(tuple(reversed(pairs)))
 
     def __iter__(self):
         for combo in self.combos:

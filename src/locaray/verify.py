@@ -10,10 +10,14 @@ interactions share the same covering row set.
 The kernel keeps one bit mask of rows per (factor, value), bit i set when
 row i + 1 holds that value.  The row set of an interaction is the AND of
 the masks of its t pairs, so a whole catalog of row sets costs about |I_t|
-big-int ANDs instead of |I_t| * m row scans.
+big-int ANDs instead of |I_t| * m row scans.  The ANDs are taken by
+prefix: each (t-1)-factor prefix keeps its partial ANDs and extends them by
+every later factor in one list comprehension, in catalog order.
 
 ``verify`` counts the interactions of each distinct row set and builds a
-member list only for the shared row sets, plus the empty one.
+member list only for the shared row sets, plus the empty one.  Only then,
+and only if one of those exists, does it build the interaction catalog, to
+decode what the report lists; on a locating array it builds none.
 ``locate_fault`` never builds the whole kernel: comparing the failing rows
 picks the few factors an answer can use, |F| * k compares, and only those
 factors get a mask.  ``Interaction`` objects are built only for what a
@@ -71,19 +75,29 @@ def _value_mask(array: TestArray, j: int, value: int) -> int:
     return bits
 
 
-def _row_sets(array: TestArray, catalog) -> list[int]:
-    """Covering row set of every catalog interaction, in catalog order.
+def _row_sets(array: TestArray, t: int) -> list[int]:
+    """Covering row set of every strength-t interaction, in catalog order.
 
-    Extending a combination's partial ANDs one factor at a time, the last
-    factor varying fastest, walks its values in the catalog's mixed radix.
+    The walk keeps the partial ANDs of each (t-1)-factor prefix, the last
+    factor varying fastest, and extends them by every later factor in one
+    comprehension.  Prefixes come in lexicographic order and each extension
+    in ascending factor order, which is the catalog's order of combination
+    blocks and of values within a block: C(k, t-1) comprehensions rather
+    than C(k, t).  At t = 1 the empty prefix extends to the masks themselves.
     """
     masks = _column_masks(array)
+    k = len(masks)
+    last = t - 1
     rowsets: list[int] = []
-    for combo in catalog.combos:
-        sets = masks[combo[0]]
-        for j in combo[1:]:
-            sets = [a & b for a in sets for b in masks[j]]
-        rowsets += sets
+
+    def extend(sets: list[int], start: int, depth: int) -> None:
+        if depth == last:
+            rowsets.extend([a & b for j in range(start, k) for a in sets for b in masks[j]])
+            return
+        for j in range(start, k - last + depth):
+            extend([a & b for a in sets for b in masks[j]], j + 1, depth + 1)
+
+    extend([-1], 0, 0)  # -1: the empty prefix, covered by every row
     return rowsets
 
 
@@ -111,32 +125,33 @@ def verify(
     """
     if not 1 <= t <= array.model.k:
         raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
-    catalog = enumerate_interactions(array.model, t)
-    rowsets = _row_sets(array, catalog)
+    rowsets = _row_sets(array, t)
     counts = Counter(rowsets)  # row set -> group size, in first-occurrence order
     shared = list(itertools.compress(counts, map((1).__lt__, counts.values())))  # size >= 2
     collision_count = sum(comb(counts[bits], 2) for bits in shared)
     listed = collision_count if max_collision_pairs is None else min(collision_count, max_collision_pairs)
 
     # member lists only for the shared row sets, and for the empty one,
-    # whose members are the uncovered interactions
+    # whose members are the uncovered interactions; a locating array has
+    # neither, so it needs no member scan and no catalog
     members: dict[int, list[int]] = {bits: [] for bits in shared}
     if 0 in counts:
         members.setdefault(0, [])
-    for tid, bits in itertools.compress(enumerate(rowsets), map(members.__contains__, rowsets)):
-        members[bits].append(tid)
-
-    interaction = catalog.interaction_at
-    uncovered = [interaction(tid) for tid in members.get(0, ())]
+    uncovered: list[Interaction] = []
     collisions: list[tuple[Interaction, Interaction, frozenset[int]]] = []
-    for bits in shared:
-        room = listed - len(collisions)
-        if room <= 0:
-            break
-        # a group's first `room` pairs pair up only its first room + 1 members
-        pairs = itertools.combinations([interaction(tid) for tid in members[bits][: room + 1]], 2)
-        rows = _rows(bits)
-        collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, room))
+    if members:
+        for tid, bits in itertools.compress(enumerate(rowsets), map(members.__contains__, rowsets)):
+            members[bits].append(tid)
+        interaction = enumerate_interactions(array.model, t).interaction_at
+        uncovered = [interaction(tid) for tid in members.get(0, ())]
+        for bits in shared:
+            room = listed - len(collisions)
+            if room <= 0:
+                break
+            # a group's first `room` pairs pair up only its first room + 1 members
+            pairs = itertools.combinations([interaction(tid) for tid in members[bits][: room + 1]], 2)
+            rows = _rows(bits)
+            collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, room))
 
     is_covering = not uncovered
     is_locating_exact1 = collision_count == 0

@@ -177,6 +177,123 @@ def test_generate_bad_memory_budget_is_usage_error(capsys, monkeypatch):
     assert "LOCARAY_MEM_BUDGET_MB" in err
 
 
+# `locaray verify` stdout on two non-locating arrays with more than 20
+# colliding pairs, as the command printed it when verify listed up to 1000
+# pairs and the command cut the lists to 20 itself
+_TWO_EQUAL_ROWS = "2^3\n2 2\n0 0 0\n0 0 0\n"
+_TWO_EQUAL_ROWS_OUT = (
+    "model=2^3\n"
+    "rows=2\n"
+    "strength=2\n"
+    "is_covering=false\n"
+    "is_locating_exact1=false\n"
+    "is_locating_1bar=false\n"
+    "uncovered_count=9\n"
+    "collision_count=39\n"
+    "# 9 uncovered interactions, first 9:\n"
+    "#   uncovered (1=0, 2=1)\n"
+    "#   uncovered (1=1, 2=0)\n"
+    "#   uncovered (1=1, 2=1)\n"
+    "#   uncovered (1=0, 3=1)\n"
+    "#   uncovered (1=1, 3=0)\n"
+    "#   uncovered (1=1, 3=1)\n"
+    "#   uncovered (2=0, 3=1)\n"
+    "#   uncovered (2=1, 3=0)\n"
+    "#   uncovered (2=1, 3=1)\n"
+    "# 39 colliding pairs, first 20:\n"
+    "#   (1=0, 2=0) ~ (1=0, 3=0) rows={1,2}\n"
+    "#   (1=0, 2=0) ~ (2=0, 3=0) rows={1,2}\n"
+    "#   (1=0, 3=0) ~ (2=0, 3=0) rows={1,2}\n"
+    "#   (1=0, 2=1) ~ (1=1, 2=0) rows={}\n"
+    "#   (1=0, 2=1) ~ (1=1, 2=1) rows={}\n"
+    "#   (1=0, 2=1) ~ (1=0, 3=1) rows={}\n"
+    "#   (1=0, 2=1) ~ (1=1, 3=0) rows={}\n"
+    "#   (1=0, 2=1) ~ (1=1, 3=1) rows={}\n"
+    "#   (1=0, 2=1) ~ (2=0, 3=1) rows={}\n"
+    "#   (1=0, 2=1) ~ (2=1, 3=0) rows={}\n"
+    "#   (1=0, 2=1) ~ (2=1, 3=1) rows={}\n"
+    "#   (1=1, 2=0) ~ (1=1, 2=1) rows={}\n"
+    "#   (1=1, 2=0) ~ (1=0, 3=1) rows={}\n"
+    "#   (1=1, 2=0) ~ (1=1, 3=0) rows={}\n"
+    "#   (1=1, 2=0) ~ (1=1, 3=1) rows={}\n"
+    "#   (1=1, 2=0) ~ (2=0, 3=1) rows={}\n"
+    "#   (1=1, 2=0) ~ (2=1, 3=0) rows={}\n"
+    "#   (1=1, 2=0) ~ (2=1, 3=1) rows={}\n"
+    "#   (1=1, 2=1) ~ (1=0, 3=1) rows={}\n"
+    "#   (1=1, 2=1) ~ (1=1, 3=0) rows={}\n"
+)
+_THREE_ROWS = "2^5 3\n3 2\n0 0 0 0 0 0\n0 1 0 1 0 1\n1 1 0 0 1 2\n"
+_THREE_ROWS_OUT = (
+    "model=2^5 3\n"
+    "rows=3\n"
+    "strength=2\n"
+    "is_covering=false\n"
+    "is_locating_exact1=false\n"
+    "is_locating_1bar=false\n"
+    "uncovered_count=30\n"
+    "collision_count=626\n"
+    "# 30 uncovered interactions, first 20:\n"
+    "#   uncovered (1=1, 2=0)\n"
+    "#   uncovered (1=0, 3=1)\n"
+    "#   uncovered (1=1, 3=1)\n"
+    "#   uncovered (1=1, 4=1)\n"
+    "#   uncovered (1=0, 5=1)\n"
+    "#   uncovered (1=1, 5=0)\n"
+    "#   uncovered (1=0, 6=2)\n"
+    "#   uncovered (1=1, 6=0)\n"
+    "#   uncovered (1=1, 6=1)\n"
+    "#   uncovered (2=0, 3=1)\n"
+    "#   uncovered (2=1, 3=1)\n"
+    "#   uncovered (2=0, 4=1)\n"
+    "#   uncovered (2=0, 5=1)\n"
+    "#   uncovered (2=0, 6=1)\n"
+    "#   uncovered (2=0, 6=2)\n"
+    "#   uncovered (2=1, 6=0)\n"
+    "#   uncovered (3=1, 4=0)\n"
+    "#   uncovered (3=1, 4=1)\n"
+    "#   uncovered (3=1, 5=0)\n"
+    "#   uncovered (3=1, 5=1)\n"
+    "# 626 colliding pairs, first 20:\n"
+    "#   (1=0, 2=0) ~ (1=0, 4=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (1=0, 6=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (2=0, 3=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (2=0, 4=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (2=0, 5=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (2=0, 6=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (3=0, 6=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (4=0, 5=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (4=0, 6=0) rows={1}\n"
+    "#   (1=0, 2=0) ~ (5=0, 6=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (1=0, 6=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (2=0, 3=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (2=0, 4=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (2=0, 5=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (2=0, 6=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (3=0, 6=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (4=0, 5=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (4=0, 6=0) rows={1}\n"
+    "#   (1=0, 4=0) ~ (5=0, 6=0) rows={1}\n"
+    "#   (1=0, 6=0) ~ (2=0, 3=0) rows={1}\n"
+)
+
+
+@pytest.mark.parametrize("text, expected", [(_TWO_EQUAL_ROWS, _TWO_EQUAL_ROWS_OUT), (_THREE_ROWS, _THREE_ROWS_OUT)])
+def test_verify_lists_only_the_pairs_it_prints(capsys, monkeypatch, tmp_path, text, expected):
+    caps = []
+
+    def recording_verify(array, t, max_collision_pairs):
+        caps.append(max_collision_pairs)
+        return verify(array, t, max_collision_pairs)
+
+    monkeypatch.setattr(cli, "verify", recording_verify)
+    path = tmp_path / "a.la"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "verify", "--array", str(path))
+    assert code == EXIT_NOT_LOCATING
+    assert out == expected
+    assert caps == [cli.SHOWN] == [20]
+
+
 def test_generate_deterministic_files(capsys, tmp_path):
     paths = []
     for name in ("a.la", "b.la"):

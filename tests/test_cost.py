@@ -7,14 +7,18 @@ import pytest
 from locaray import (
     CapacityError,
     Interaction,
+    SearchBudget,
     SutModel,
     TestArray,
+    construct,
+    cost,
     parse_model,
     rho,
     verify,
 )
 from locaray.cost import _BYTES_PER_INTERACTION, apply_move, build_index, entry_move, overwrite_move, undo_move
-from locaray.model import random_array
+from locaray.model import enumerate_interactions, random_array
+from locaray.verify import _row_sets
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -264,7 +268,10 @@ def test_capacity_env_override(printer_covering, monkeypatch):
     with pytest.raises(CapacityError):
         build_index(printer_covering, 2)
     monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "512")
-    build_index(printer_covering, 2)
+    build_index(printer_covering, 2)  # the model's tables are now cached
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    with pytest.raises(CapacityError):  # the guard runs before the cache
+        build_index(printer_covering, 2)
 
 
 @pytest.mark.parametrize("text", ["abc", "-1", "1.5", ""])
@@ -275,14 +282,77 @@ def test_capacity_env_rejects_malformed_budget(printer_covering, monkeypatch, te
 
 
 def test_capacity_constant_bounds_measured_footprint():
-    # the guard's per-interaction estimate must not undershoot the real index
-    model = parse_model("2^40 3^10")
-    arr = random_array(model, 33, random.Random(1))
-    build_index(arr, 2)  # first build pays one-off allocations outside the index
-    tracemalloc.start()
-    try:
-        index = build_index(arr, 2)
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert size / len(index.catalog) <= _BYTES_PER_INTERACTION
+    # the guard's per-interaction estimate must not undershoot the real
+    # index, counted with the tables a construct's first build allocates
+    for spec, t in (("2^40 3^10", 2), ("2^10 3^2", 3)):
+        arr = random_array(parse_model(spec), 33, random.Random(1))
+        build_index(arr, t)  # first build pays one-off allocations outside the index
+        cost._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            index = build_index(arr, t)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size / len(index.catalog) <= _BYTES_PER_INTERACTION
+
+
+# --- tables shared across the probes of a construct ------------------------------
+
+
+@pytest.fixture
+def catalog_builds(monkeypatch):
+    """Models whose catalog ``locaray.cost`` built, one entry per build."""
+    built = []
+
+    def counting(model, t):
+        built.append((model, t))
+        return enumerate_interactions(model, t)
+
+    cost._tables.cache_clear()
+    monkeypatch.setattr(cost, "enumerate_interactions", counting)
+    yield built
+    cost._tables.cache_clear()
+
+
+def test_one_construct_builds_its_tables_once(catalog_builds):
+    model = SutModel((2, 2, 2, 3))
+    result = construct(model, 2, budget=SearchBudget(timeout=60, seed=1))
+    assert len(result.history) >= 3
+    assert catalog_builds == [(model, 2)]
+
+
+def test_each_model_and_strength_gets_its_own_tables(catalog_builds, printer_covering):
+    first = build_index(printer_covering, 2)
+    assert build_index(printer_covering, 2).catalog is first.catalog
+    assert type(first.catalog.combos) is tuple and type(first.catalog.offsets) is tuple
+    other = build_index(TestArray(SutModel((3, 3, 2)), [[0, 1, 1]]), 2)
+    assert other.catalog.model == SutModel((3, 3, 2)) and len(other.catalog) == 21
+    lower = build_index(printer_covering, 1)
+    assert lower.catalog.strength == 1 and len(lower.catalog) == 9
+    assert catalog_builds == [(printer_covering.model, 2), (SutModel((3, 3, 2)), 2), (printer_covering.model, 1)]
+
+
+# --- the prefix walk of the row-set kernels --------------------------------------
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65])
+def test_prefix_walks_equal_per_interaction_ands(m):
+    # verify and the index each walk row sets by prefix, in their own copy
+    rng = random.Random(f"prefix-walk:{m}")
+    for _ in range(10):
+        model = random_model(rng, max_k=6, max_v=3)
+        array = random_array(model, m, rng)
+        masks = [[0] * v for v in model.values]
+        for i, row in enumerate(array.rows):
+            for j, value in enumerate(row):
+                masks[j][value] |= 1 << i
+        for t in range(1, model.k + 1):
+            expected = []
+            for interaction in enumerate_interactions(model, t):
+                bits = (1 << m) - 1
+                for j, v in interaction.pairs:
+                    bits &= masks[j][v]
+                expected.append(bits)
+            assert _row_sets(array, t) == expected
+            assert build_index(array, t).rowsets == expected

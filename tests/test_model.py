@@ -135,13 +135,14 @@ def test_catalog_order_is_canonical_and_stable():
 
 
 def test_index_round_trips():
-    for model, t in [(SutModel((2, 2, 2, 3)), 2), (SutModel((3, 4, 2)), 3), (SutModel((2, 5)), 1)]:
-        catalog = enumerate_interactions(model, t)
-        for pos, interaction in enumerate(catalog):
-            assert catalog.interaction_at(pos) == interaction
-        for idx in (-1, len(catalog)):
-            with pytest.raises(IndexError):
-                catalog.interaction_at(idx)
+    for model in (SutModel((2, 2, 2, 3)), SutModel((3, 4, 2)), SutModel((2, 5)), SutModel((4,))):
+        for t in range(model.k + 1):
+            catalog = enumerate_interactions(model, t)
+            for pos, interaction in enumerate(catalog):
+                assert catalog.interaction_at(pos) == interaction
+            for idx in (-1, len(catalog)):
+                with pytest.raises(IndexError):
+                    catalog.interaction_at(idx)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
