@@ -90,14 +90,17 @@ def _row_sets(array: TestArray, t: int) -> list[int]:
     last = t - 1
     rowsets: list[int] = []
 
-    def extend(sets: list[int], start: int, depth: int) -> None:
+    # depth first over the prefixes, in lexicographic order: an entry holds
+    # a prefix's partial ANDs, the first factor that may follow it and its
+    # length; children are pushed last first, so that they pop first first
+    stack = [([-1], 0, 0)]  # -1: the empty prefix, covered by every row
+    while stack:
+        sets, start, depth = stack.pop()
         if depth == last:
-            rowsets.extend([a & b for j in range(start, k) for a in sets for b in masks[j]])
-            return
-        for j in range(start, k - last + depth):
-            extend([a & b for a in sets for b in masks[j]], j + 1, depth + 1)
-
-    extend([-1], 0, 0)  # -1: the empty prefix, covered by every row
+            rowsets += [a & b for j in range(start, k) for a in sets for b in masks[j]]
+        else:
+            for j in reversed(range(start, k - last + depth)):
+                stack.append(([a & b for a in sets for b in masks[j]], j + 1, depth + 1))
     return rowsets
 
 
