@@ -163,10 +163,7 @@ class CoverageIndex:
 
     def _build(self, array: TestArray) -> None:
         # masks[j][v]: the rows holding value v at factor j; a row set is the
-        # AND of its pairs' masks.  The walk keeps the partial ANDs of each
-        # (t-1)-factor prefix, the last factor varying fastest, and extends
-        # them by every later factor in one comprehension, which yields the
-        # catalog's blocks in order: C(k, t-1) comprehensions, not C(k, t).
+        # AND of its pairs' masks, walked by prefix (see the module docstring)
         masks = [[0] * v for v in self.model.values]
         for i, row in enumerate(array.rows):
             bit = 1 << i
