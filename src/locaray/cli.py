@@ -23,6 +23,7 @@ EXIT_CAPACITY = 3
 EXIT_USAGE = 64
 
 SHOWN = 20  # uncovered interactions and colliding pairs `verify` prints, each
+MAX_RUNS = 10_000  # --workers and bench --runs; a budget is built per run before any search
 
 
 class _UsageError(Exception):
@@ -40,7 +41,7 @@ def _add_run_flags(p, budget: SearchBudget):
     """--timeout, --seed and --workers, shared by generate and bench."""
     p.add_argument("--timeout", type=float, default=budget.timeout, help="wall-clock budget in seconds per run (default %(default)s)")
     p.add_argument("--seed", type=int, default=budget.seed, help="root RNG seed (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1, help="processes for independent runs (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1, help=f"processes for independent runs, at most {MAX_RUNS} (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run a benchmark suite and emit a CSV summary")
     be.set_defaults(run=cmd_bench)
     be.add_argument("--suite", help="suite file of 'name,model' lines (bundled 35-instance suite when omitted)")
-    be.add_argument("--runs", type=int, default=5, help="runs per instance (default %(default)s)")
+    be.add_argument("--runs", type=int, default=5, help=f"runs per instance, at most {MAX_RUNS} (default %(default)s)")
     be.add_argument("--strength", type=int, default=2, help="interaction strength t (default %(default)s)")
     _add_run_flags(be, budget)
     be.add_argument("--out", help="CSV path (stdout when omitted)")
@@ -99,8 +100,8 @@ def _usage_checked(make, *args, **kwargs):
 
 def _check_run_flags(args) -> None:
     """Flags and settings shared by generate and bench, checked before any search."""
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
+    if not 1 <= args.workers <= MAX_RUNS:
+        raise _UsageError(f"--workers must lie in 1..{MAX_RUNS}")
     _usage_checked(memory_budget_from_env)
 
 
@@ -256,8 +257,8 @@ def cmd_bench(args) -> int:
         raise _UsageError("the suite lists no instances")
     for name, spec in entries:
         _check_strength(args.strength, parse_model(spec), f"suite instance {name}: ")
-    if args.runs < 1:
-        raise _UsageError("--runs must be at least 1")
+    if not 1 <= args.runs <= MAX_RUNS:
+        raise _UsageError(f"--runs must lie in 1..{MAX_RUNS}")
     _check_run_flags(args)
     _usage_checked(SearchBudget, timeout=args.timeout)
 

@@ -1,21 +1,11 @@
 """Size bounds, the outer size search, and restarts of the construction driver.
 
 ``construct`` runs simulated annealing again and again at varying sizes, in
-one loop.  Each pass picks the next size by one of three rules:
-
-- while the range [low, high] is not empty, probe its midpoint; a success
-  moves ``high`` below the found size, a failure moves ``low`` past it;
-- when the range is empty and nothing has been found, the heuristic upper
-  bound was too small: double it and raise only ``high``, so the search
-  resumes at ``low``, above every size the failed pass ruled out, instead
-  of probing [floor, ceiling] again;
-- when the range is empty and an array has been found, probe one row fewer
-  than the best array, stopping after ``max_retries`` failures in a row or
-  below the lower bound.
-
-A wall-clock timeout ends the search; the smallest array found so far is
-the result.  ``construct_runs`` runs independent restarts, in this process
-or in a process pool.
+one loop that only runs probes: ``next_probe``, a pure function of the
+search state and the last outcome, picks each size by the three rules its
+docstring gives (bisect, widen, shrink).  A wall-clock timeout ends the
+search; the smallest array found so far is the result.  ``construct_runs``
+runs independent restarts, in this process or in a process pool.
 """
 
 import hashlib
@@ -25,6 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from random import Random
+from typing import NamedTuple
 
 from .anneal import AnnealParams, sa_run
 from .model import SutModel, TestArray
@@ -110,13 +101,63 @@ class SearchResult:
     time_to_best: float | None = None
 
 
+class SearchState(NamedTuple):
+    """Where the size search stands: the open range [low, high], the rows of
+    the smallest array found (None before the first success), and the
+    consecutive failures one row below it."""
+
+    low: int
+    high: int
+    best: int | None = None
+    failures: int = 0
+
+
+def next_probe(
+    state: SearchState, size: int | None, found: bool, floor: int, max_retries: int
+) -> tuple[SearchState, int | None]:
+    """Apply the outcome of the probe at ``size`` (None before the first
+    probe) and pick the next size, or None when the search is over.
+
+    The search starts from ``SearchState(floor, high)`` with the bounds of
+    ``initial_bounds``.  Each size follows one of three rules:
+
+    - while the range [low, high] is not empty, probe its midpoint; a success
+      moves ``high`` below the found size, a failure moves ``low`` past it;
+    - when the range is empty and nothing has been found, the heuristic upper
+      bound was too small: double ``high`` (no success has lowered it yet),
+      so the search resumes at ``low``, above every size the failed pass
+      ruled out, instead of probing from ``floor`` again (unbounded search,
+      Bentley & Yao, IPL 5(3), 1976);
+    - when the range is empty and an array has been found, probe one row
+      fewer than the best array, stopping after ``max_retries`` failures in
+      a row or below ``floor``.
+    """
+    low, high, best, failures = state
+    if size is not None:
+        if found:
+            # while shrinking, low is above the new high: the range stays empty
+            best, high, failures = size, size - 1, 0
+        elif low <= high:
+            low = size + 1
+        else:
+            failures += 1
+    while low > high and best is None:
+        high *= 2
+    if low <= high:
+        size = (low + high) // 2
+    else:
+        size = best - 1 if failures < max_retries and best > floor else None
+    return SearchState(low, high, best, failures), size
+
+
 def construct(
     model: SutModel,
     t: int,
     params: AnnealParams | None = None,
     budget: SearchBudget | None = None,
 ) -> SearchResult:
-    """Construct a small locating array for ``model`` at strength ``t``.
+    """Construct a small locating array for ``model`` at strength ``t``,
+    probing the sizes ``next_probe`` picks.
 
     Deterministic for a fixed budget seed in this single-process form,
     provided the timeout never fires.
@@ -127,30 +168,14 @@ def construct(
     deadline = started + budget.timeout
     history: list[ProbeRecord] = []
 
-    floor, ceiling = initial_bounds(model, t)
-    low, high = floor, ceiling
+    floor, high = initial_bounds(model, t)
+    state, size, found = SearchState(floor, high), None, None
     best: TestArray | None = None
     best_at: float | None = None
-    failures = 0  # consecutive failures one row below the best array
-    timed_out = False
 
     while True:
-        bisecting = low <= high
-        if bisecting:
-            size = (low + high) // 2
-        elif best is None:
-            # the failed pass left low at the old ceiling + 1 (or at floor if
-            # the range started empty) and ruled out every size below it, so
-            # bisecting from floor again would only repeat failures
-            ceiling *= 2
-            high = ceiling
-            continue
-        else:
-            size = best.m - 1
-            if failures >= budget.max_retries or size < floor:
-                break
-        if time.monotonic() >= deadline:
-            timed_out = True
+        state, size = next_probe(state, size, found is not None, floor, budget.max_retries)
+        if size is None or time.monotonic() >= deadline:
             break
         probe_start = time.monotonic()
         # one record per probe, so probe n runs on child seed "sa:n"
@@ -159,21 +184,14 @@ def construct(
         history.append(ProbeRecord(size, found is not None, time.monotonic() - probe_start))
         if found is not None:
             best, best_at = found, time.monotonic() - started
-            high = size - 1  # while shrinking, low is above it: the range stays empty
-            failures = 0
         elif time.monotonic() >= deadline:
-            timed_out = True  # the failure says nothing about the size
-            break
-        elif bisecting:
-            low = size + 1
-        else:
-            failures += 1
+            break  # the failure says nothing about the size
 
     return SearchResult(
         array=best,
         rows=best.m if best is not None else None,
         history=history,
-        timed_out=timed_out,
+        timed_out=size is not None,  # the deadline cut the search with a size left to probe
         elapsed=time.monotonic() - started,
         time_to_best=best_at,
     )

@@ -144,13 +144,14 @@ def test_generate_capacity_exit(capsys, monkeypatch):
         ["--t-init", "nan"],
         ["--t-init", "inf"],
         ["--workers", "0"],
+        ["--workers", str(cli.MAX_RUNS + 1)],
     ],
     ids=[
         "timeout", "timeout-nan", "k-max", "cooling",
-        "weight-nan", "weight-inf", "t-init-nan", "t-init-inf", "workers",
+        "weight-nan", "weight-inf", "t-init-nan", "t-init-inf", "workers", "workers-max",
     ],
 )
-def test_generate_bad_flag_values_are_usage_errors(capsys, flags):
+def test_generate_bad_flag_values_are_usage_errors(capsys, no_search, flags):
     code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", *flags)
     assert code == EXIT_USAGE
     assert out == ""
@@ -426,10 +427,11 @@ def test_bench_empty_suite_is_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--timeout", "0"], ["--timeout", "nan"], ["--workers", "0"], ["--runs", "0"], ["--strength", "0"]],
-    ids=["timeout", "timeout-nan", "workers", "runs", "strength-0"],
+    [["--timeout", "0"], ["--timeout", "nan"], ["--workers", "0"], ["--runs", "0"], ["--strength", "0"],
+     ["--workers", str(cli.MAX_RUNS + 1)], ["--runs", str(cli.MAX_RUNS + 1)]],
+    ids=["timeout", "timeout-nan", "workers", "runs", "strength-0", "workers-max", "runs-max"],
 )
-def test_bench_bad_flag_values_are_usage_errors(capsys, tmp_path, flags):
+def test_bench_bad_flag_values_are_usage_errors(capsys, tmp_path, no_search, flags):
     suite = tmp_path / "suite.txt"
     suite.write_text("tiny,2^3\n")
     log = tmp_path / "bench.log"

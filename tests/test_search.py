@@ -19,7 +19,7 @@ from locaray import (
     verify,
 )
 from locaray import search as search_module
-from locaray.search import derive_seed, initial_bounds
+from locaray.search import SearchState, derive_seed, initial_bounds, next_probe
 
 
 # --- the size lower bound -----------------------------------------------------
@@ -99,13 +99,10 @@ def test_initial_bounds_uniform_model():
 # --- the probe loop (with a stubbed annealing run) ------------------------------
 
 
-def make_stub(succeeds, model=SutModel((2, 2)), calls=None):
-    def stub(model_arg, t, m, params, rng, deadline=None):
-        if calls is not None:
-            calls.append(m)
-        if succeeds(m):
-            return TestArray(model, [[0, 0]] * m)
-        return None
+def make_stub(succeeds, calls):
+    def stub(model, t, m, params, rng, deadline=None):
+        calls.append(m)
+        return TestArray(model, [[0, 0]] * m) if succeeds(m) else None
 
     return stub
 
@@ -237,6 +234,41 @@ def test_construct_probe_sequence_is_locked(monkeypatch, case):
     assert result.timed_out is timed_out
 
 
+def drive(bounds, succeeds, max_retries=3):
+    """``next_probe`` alone, with no clock, model or RNG: the (size, success)
+    pairs it asks for and the best size, for ``succeeds`` as in run_scripted."""
+    state, size, found, history = SearchState(*bounds), None, False, []
+    while True:
+        state, size = next_probe(state, size, found, bounds[0], max_retries)
+        if size is None:
+            return history, state.best
+        found = succeeds(size, len(history) + 1)
+        history.append((size, int(found)))
+
+
+def test_next_probe_alone_gives_the_probe_sequences(monkeypatch):
+    for case, spec in PROBE_LOCK.items():
+        if not case.startswith("deadline-"):
+            replay = drive(spec["bounds"], spec["succeeds"], spec.get("max_retries", 3))
+            assert replay == (spec["history"], spec["rows"]), case
+    rng = random.Random(9)
+    for _ in range(300):
+        bounds, max_retries = (rng.randint(1, 30), rng.randint(1, 40)), rng.randint(1, 4)
+        threshold, odds, flips = rng.randint(1, 80), rng.random(), {}
+
+        def succeeds(m, n):
+            # below the threshold, a coin flipped once per probe index
+            return m >= threshold or flips.setdefault(n, rng.random() < odds)
+
+        history, best = drive(bounds, succeeds, max_retries)
+        result = run_scripted(monkeypatch, bounds, succeeds, max_retries, timeout=math.inf)
+        assert [(rec.rows, int(rec.success)) for rec in result.history] == history
+        assert (result.rows, result.timed_out) == (best, False)
+        # pure: the same state and outcome give the same answer
+        args = (SearchState(*bounds, best, rng.randint(0, 4)), rng.randint(1, 80), rng.random() < 0.5, bounds[0], max_retries)
+        assert next_probe(*args) == next_probe(*args)
+
+
 def test_construct_never_probes_below_floor(monkeypatch):
     rng = random.Random(6)
     for _ in range(200):
@@ -271,42 +303,7 @@ def test_construct_time_to_best_is_when_the_best_array_was_found(monkeypatch):
     assert result.elapsed == 7.0
 
 
-# --- the two-phase driver ----------------------------------------------------------
-
-
-def test_construct_with_stub_walks_phase2_down(monkeypatch):
-    calls = []
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: m >= 8, calls=calls))
-    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 15))
-    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=60, seed=0))
-    # phase 1 probes 8,4,6,7; phase 2 then tries 7 three times and stops
-    assert calls == [8, 4, 6, 7, 7, 7, 7]
-    assert result.rows == 8
-    assert not result.timed_out
-    phase2 = calls[4:]
-    assert all(m == 7 for m in phase2)
-
-
-def test_construct_stub_phase2_decreases_until_low(monkeypatch):
-    calls = []
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: True, calls=calls))
-    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (3, 9))
-    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=60, seed=0))
-    # every probe succeeds: binary search walks to the bottom, and phase 2
-    # has nothing to try because 2 < low
-    assert result.rows == 3
-    assert calls == [6, 4, 3]
-    assert min(calls) >= 3
-
-
-def test_construct_escalates_too_small_upper_bound(monkeypatch):
-    calls = []
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: m >= 20, calls=calls))
-    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (3, 5))
-    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=60, seed=0))
-    assert result.rows == 20
-    assert max(calls) >= 20
-    assert not result.timed_out
+# --- real constructs, seeds and budgets -------------------------------------------
 
 
 def test_construct_timeout_with_no_array(monkeypatch):
@@ -320,14 +317,6 @@ def test_construct_timeout_with_no_array(monkeypatch):
     assert result.array is None
     assert result.rows is None
     assert result.timed_out
-
-
-def test_construct_history_covers_all_probes(monkeypatch):
-    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: m >= 8))
-    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 15))
-    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=60, seed=0))
-    assert [rec.rows for rec in result.history] == [8, 4, 6, 7, 7, 7, 7]
-    assert [rec.success for rec in result.history] == [True, False, False, False, False, False, False]
 
 
 def test_construct_real_three_binary_factors():
