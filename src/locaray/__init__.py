@@ -8,8 +8,8 @@ independently verifies the defining properties of any array.
 """
 
 from .anneal import AnnealParams
-from .cost import CapacityError
 from .model import (
+    CapacityError,
     Interaction,
     ModelParseError,
     SutModel,

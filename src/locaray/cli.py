@@ -11,8 +11,7 @@ import sys
 from importlib import resources
 
 from .anneal import AnnealParams, STRATEGIES
-from .cost import CapacityError, check_capacity, memory_budget_from_env
-from .model import ModelParseError, load_array, parse_model, save_array, format_array
+from .model import CapacityError, ModelParseError, check_capacity, load_array, parse_model, save_array, format_array
 from .search import SearchBudget, construct_runs, derive_seed, initial_bounds, parallel_construct
 from .verify import verify, locate_fault
 
@@ -99,16 +98,26 @@ def _usage_checked(make, *args, **kwargs):
 
 
 def _check_run_flags(args) -> None:
-    """Flags and settings shared by generate and bench, checked before any search."""
+    """--workers, shared by generate and bench, checked before any search."""
     if not 1 <= args.workers <= MAX_RUNS:
         raise _UsageError(f"--workers must lie in 1..{MAX_RUNS}")
-    _usage_checked(memory_budget_from_env)
 
 
 def _check_strength(t: int, model, where: str = "") -> None:
     """Usage error unless strength ``t`` lies in 1..k; ``where`` prefixes the message."""
     if not 1 <= t <= model.k:
         raise _UsageError(f"{where}strength must lie in 1..{model.k}")
+
+
+def _check_catalogs(t: int, models) -> None:
+    """The last check before any file, pool or search: strength ``t`` on
+    every (message prefix, model) pair, then the model's capacity gate on
+    each, so an over-budget catalog exits 3 from this process, after every
+    usage error and before any work."""
+    for where, model in models:
+        _check_strength(t, model, where)
+    for _, model in models:
+        _usage_checked(check_capacity, model, t)
 
 
 def _check_writable(path: str) -> None:
@@ -141,12 +150,12 @@ def _load(path):
 
 def cmd_generate(args) -> int:
     model = parse_model(args.model)
-    _check_strength(args.strength, model)
     _check_run_flags(args)
     if args.out:
         _check_writable(args.out)
     params = _params_from(args)
     budget = _usage_checked(SearchBudget, max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
+    _check_catalogs(args.strength, [("", model)])
     result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
     print(f"model={model.spec_text()}")
     print(f"strength={args.strength}")
@@ -175,8 +184,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
-    _check_strength(t, array.model)
-    _usage_checked(check_capacity, array.model, t)
+    _check_catalogs(t, [("", array.model)])
     report = verify(array, t, max_collision_pairs=SHOWN)
     print(f"model={array.model.spec_text()}")
     print(f"rows={array.m}")
@@ -255,16 +263,15 @@ def cmd_bench(args) -> int:
     entries = _usage_checked(load_suite, text)
     if not entries:
         raise _UsageError("the suite lists no instances")
-    for name, spec in entries:
-        _check_strength(args.strength, parse_model(spec), f"suite instance {name}: ")
     if not 1 <= args.runs <= MAX_RUNS:
         raise _UsageError(f"--runs must lie in 1..{MAX_RUNS}")
     _check_run_flags(args)
     _usage_checked(SearchBudget, timeout=args.timeout)
-
     log_path = args.log or (f"{args.out}.log" if args.out else "bench.log")
     for path in filter(None, (args.out, log_path)):
         _check_writable(path)
+    _check_catalogs(args.strength, [(f"suite instance {name}: ", parse_model(spec)) for name, spec in entries])
+
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fh, lineterminator="\n")

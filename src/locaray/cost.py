@@ -32,8 +32,9 @@ the row bit, updates both kinds.
 
 The catalog and the partner tables depend only on (model, t).  They are
 read-only tuples, cached for the last (model, t) built, so every probe of
-one construct shares one set; the capacity check still runs on every
-build, before the cache is consulted.
+one construct shares one set.  The memory budget and the strength range
+are not decided here: every build first asks ``model.check_capacity``,
+before the cache is consulted, so a lowered budget still refuses.
 
 ``apply_move`` logs the tids each entry change toggled, and ``undo_move``
 replays that log rather than walking the partner tables again.  So an
@@ -41,61 +42,17 @@ undo reverts only the last move applied; any other move raises.
 """
 
 import functools
-import os
 from dataclasses import dataclass
 
 from .model import (
+    _BYTES_PER_INTERACTION,  # the gate's footprint figure, which perfbench reads here
     Interaction,
     InteractionCatalog,
     SutModel,
     TestArray,
+    check_capacity,
     enumerate_interactions,
-    interaction_count,
 )
-
-DEFAULT_MEM_BUDGET_MB = 512
-MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
-# per-interaction footprint of the index (mask, group slot, sample-set slot)
-# plus the catalog and partner tables of its (model, t), which a construct's
-# first build allocates and its later probes share; used only for the
-# fail-fast capacity check.  tracemalloc peaks of a first build were
-# 129-235 B on random arrays of 2^40 3^10 (t=2) and 2^10 3^2 (t=3) at 0-80
-# rows; the peak is near the row count where most interactions collide, so
-# this is the largest figure rounded up.
-_BYTES_PER_INTERACTION = 240
-
-
-class CapacityError(Exception):
-    """The interaction catalog would exceed the configured memory budget."""
-
-    def __init__(self, n_interactions: int, budget_mb: int):
-        self.n_interactions = n_interactions
-        self.budget_mb = budget_mb
-        super().__init__(
-            f"{n_interactions} interactions exceed the {budget_mb} MiB index budget "
-            f"(override with {MEM_BUDGET_ENV})"
-        )
-
-
-def memory_budget_from_env() -> int:
-    """The index memory budget in MiB: LOCARAY_MEM_BUDGET_MB, else 512."""
-    text = os.environ.get(MEM_BUDGET_ENV)
-    if text is None:
-        return DEFAULT_MEM_BUDGET_MB
-    if not text.strip().isdecimal():
-        raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
-    return int(text)
-
-
-def check_capacity(model: SutModel, t: int) -> None:
-    """Raise CapacityError when the strength-t catalog of ``model`` would
-    not fit the memory budget, and ValueError when the budget setting is
-    malformed."""
-    n = interaction_count(model, t)
-    budget = memory_budget_from_env()
-    if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
-        raise CapacityError(n, budget)
-
 
 @dataclass(frozen=True)
 class Move:
@@ -142,9 +99,7 @@ class CoverageIndex:
 
     def __init__(self, array: TestArray, t: int):
         model = array.model
-        if not 1 <= t <= model.k:
-            raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
-        check_capacity(model, t)  # before the cache, so a lowered budget still refuses
+        check_capacity(model, t)  # before the cache
 
         self.model = model
         self.catalog, self._partners = _tables(model, t)
@@ -338,8 +293,8 @@ def _tables(model: SutModel, t: int) -> tuple[InteractionCatalog, tuple]:
 def build_index(array: TestArray, t: int) -> CoverageIndex:
     """Build the coverage index of ``array`` at strength ``t``.
 
-    Raises CapacityError when |I_t| would blow the memory budget (default
-    512 MiB, overridable via the LOCARAY_MEM_BUDGET_MB environment variable).
+    Raises what ``model.check_capacity`` raises: ValueError for a strength
+    outside 1..k, CapacityError when |I_t| would blow the memory budget.
     """
     return CoverageIndex(array, t)
 

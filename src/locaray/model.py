@@ -9,6 +9,13 @@ central relation is which rows of an array cover which interactions.
 block per factor combination; it holds only the combinations and their
 block offsets, and decodes an index by ``divmod`` over the value counts.
 
+``check_capacity`` is the one gate in front of every structure that holds
+a row set per interaction, the coverage index and ``verify``: it checks
+the strength (1..k, through ``check_strength``, which ``locate_fault``
+also uses) and compares |I_t| with the memory budget, 512 MiB unless
+``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.  The
+CLI calls it too, in its own process before any file, pool or search.
+
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,
 reports, the array file format).
@@ -17,6 +24,7 @@ reports, the array file format).
 import bisect
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from random import Random
@@ -203,6 +211,57 @@ def interaction_count(model: SutModel, t: int) -> int:
         for d in range(t, 0, -1):
             coeffs[d] += coeffs[d - 1] * v
     return coeffs[t]
+
+
+DEFAULT_MEM_BUDGET_MB = 512
+MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
+# per-interaction footprint of the coverage index (mask, group slot,
+# sample-set slot) plus the catalog and partner tables of its (model, t),
+# which a construct's first build allocates and its later probes share.
+# tracemalloc peaks of a first build were 129-235 B on random arrays of
+# 2^40 3^10 (t=2) and 2^10 3^2 (t=3) at 0-80 rows; the peak is near the
+# row count where most interactions collide, so this is the largest figure
+# rounded up.  ``verify``, which also holds a row set per interaction, is
+# held to the same figure.
+_BYTES_PER_INTERACTION = 240
+
+
+class CapacityError(Exception):
+    """The interaction catalog would exceed the configured memory budget."""
+
+    def __init__(self, n_interactions: int, budget_mb: int):
+        super().__init__(n_interactions, budget_mb)  # the args rebuild it when unpickled
+        self.n_interactions = n_interactions
+        self.budget_mb = budget_mb
+
+    def __str__(self) -> str:
+        return (
+            f"{self.n_interactions} interactions exceed the {self.budget_mb} MiB index budget "
+            f"(override with {MEM_BUDGET_ENV})"
+        )
+
+
+def check_strength(model: SutModel, t: int) -> None:
+    """Raise ValueError unless strength ``t`` lies in 1..k."""
+    if not 1 <= t <= model.k:
+        raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
+
+
+def check_capacity(model: SutModel, t: int) -> None:
+    """The gate before a row set is held per strength-t interaction.
+
+    Raises ValueError for a strength outside 1..k or a malformed
+    LOCARAY_MEM_BUDGET_MB, and CapacityError when |I_t| would not fit the
+    budget in MiB that variable sets, 512 when it is unset.
+    """
+    check_strength(model, t)
+    text = os.environ.get(MEM_BUDGET_ENV, str(DEFAULT_MEM_BUDGET_MB))
+    if not text.strip().isdecimal():
+        raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
+    budget = int(text)
+    n = interaction_count(model, t)
+    if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
+        raise CapacityError(n, budget)
 
 
 class InteractionCatalog:

@@ -37,7 +37,7 @@ def tang_lower_bound(k: int, t: int, v: int) -> int:
 
     with C = C(k, t).  Evaluated in exact integer arithmetic: the second
     branch is ceil((sqrt(D) - (2C+3)) / 2) with D = 4C^2 + (12+24*v^t)C + 9,
-    found as the least integer z with 2z + 2C + 3 >= sqrt(D).
+    the least integer z with 2z + 2C + 3 >= ceil(sqrt(D)) = 1 + isqrt(D - 1).
     """
     if not 1 <= t <= k:
         raise ValueError(f"strength {t} out of range for k={k}")
@@ -48,9 +48,7 @@ def tang_lower_bound(k: int, t: int, v: int) -> int:
     first = -((-2 * c * w) // (1 + c))  # exact ceiling division
     d = 4 * c * c + (12 + 24 * w) * c + 9
     shift = 2 * c + 3
-    z = (math.isqrt(d) - shift) // 2
-    while not (2 * z + shift >= 0 and (2 * z + shift) ** 2 >= d):
-        z += 1
+    z = -((shift - (1 + math.isqrt(d - 1))) // 2)  # exact ceiling division
     return min(first, z)
 
 

@@ -2,7 +2,10 @@
 
 This module is the independent oracle: it computes every covering row set
 from the array with its own column-mask kernel and never touches the
-incremental machinery in ``locaray.cost``.  An array of strength t is
+incremental machinery in ``locaray.cost``.  What it shares with the index
+is the model's gate: ``verify`` asks ``model.check_capacity``, as every
+index build does, before it holds a row set per interaction, and
+``locate_fault`` asks ``model.check_strength``.  An array of strength t is
 *covering* when every t-way interaction is covered by at least one row, and
 *locating* (for at most one fault) when, in addition, no two distinct t-way
 interactions share the same covering row set.
@@ -29,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .model import Interaction, TestArray, enumerate_interactions
+from .model import Interaction, TestArray, check_capacity, check_strength, enumerate_interactions
 
 DEFAULT_COLLISION_PAIRS = 1000  # pairs listed in a report unless the caller asks otherwise
 
@@ -124,10 +127,11 @@ def verify(
     in the order the groups' row sets first occur in the catalog.
     ``max_collision_pairs`` caps only the materialized pair list, never the
     reported count; ``None`` lists every pair, which on a near-empty array
-    is about |I_t|^2 / 2 of them.
+    is about |I_t|^2 / 2 of them.  Raises what ``model.check_capacity``
+    raises: ValueError for a strength outside 1..k, CapacityError when the
+    row sets would not fit the memory budget.
     """
-    if not 1 <= t <= array.model.k:
-        raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
+    check_capacity(array.model, t)
     rowsets = _row_sets(array, t)
     counts = Counter(rowsets)  # row set -> group size, in first-occurrence order
     shared = list(itertools.compress(counts, map((1).__lt__, counts.values())))  # size >= 2
@@ -185,8 +189,7 @@ def locate_fault(array: TestArray, failing, t: int) -> list[Interaction]:
     Candidates are combined in ascending order, which keeps the catalog
     order.
     """
-    if not 1 <= t <= array.model.k:
-        raise ValueError(f"strength {t} out of range for a {array.model.k}-factor model")
+    check_strength(array.model, t)
     failing = frozenset(failing)
     for i in failing:
         if not 1 <= i <= array.m:

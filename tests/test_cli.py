@@ -132,6 +132,15 @@ def test_generate_capacity_exit(capsys, monkeypatch):
     assert "interactions=180" in out
 
 
+def test_generate_checks_capacity_before_starting_workers(capsys, monkeypatch, no_search):
+    # the parent refuses before it starts a pool, whose worker would raise instead
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    code, out, err = run_cli(capsys, "generate", "--model", "2^4", "--strength", "2", "--workers", "2")
+    assert code == EXIT_CAPACITY
+    assert out == "interactions=24\n"
+    assert err.startswith("capacity:")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -449,6 +458,18 @@ def test_bench_checks_the_strength_of_every_instance_before_any_file(capsys, tmp
     assert code == EXIT_USAGE
     assert out == ""
     assert "suite instance tiny: strength must lie in 1..2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
+
+
+def test_bench_checks_the_capacity_of_every_instance_before_any_file(capsys, tmp_path, monkeypatch, no_search):
+    # 2^3 fits 1 MiB and 2^100 does not: no row for the first may be written
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "1")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("fine,2^3\nbig,2^100\n")
+    code, out, err = run_cli(capsys, "bench", "--suite", str(suite), "--runs", "1", "--out", str(tmp_path / "bench.csv"))
+    assert code == EXIT_CAPACITY
+    assert out == "interactions=19800\n"
+    assert err.startswith("capacity:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
 
 

@@ -1,9 +1,11 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
 from locaray import (
+    CapacityError,
     Interaction,
     ModelParseError,
     SutModel,
@@ -223,6 +225,17 @@ def test_test_array_validation():
         TestArray(model, [[0, 3]])
     with pytest.raises(ValueError):
         TestArray(model, [[0]])
+
+
+# --- capacity gate -------------------------------------------------------------
+
+
+def test_capacity_error_survives_pickling():
+    # a process pool pickles a worker's exception back to the parent
+    error = CapacityError(30, 0)
+    copy = pickle.loads(pickle.dumps(error))
+    assert (copy.n_interactions, copy.budget_mb) == (30, 0)
+    assert str(copy) == str(error) == "30 interactions exceed the 0 MiB index budget (override with LOCARAY_MEM_BUDGET_MB)"
 
 
 # --- array file format -----------------------------------------------------------

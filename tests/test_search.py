@@ -355,6 +355,15 @@ def test_budget_validation():
 # --- parallel restarts ----------------------------------------------------------
 
 
+def test_parallel_construct_raises_a_workers_capacity_error(monkeypatch):
+    # each of two real worker processes refuses the catalog; the parent
+    # must get the CapacityError back, not a broken pool
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    with pytest.raises(locaray.CapacityError) as exc_info:
+        locaray.parallel_construct(parse_model("2^4"), 2, budget=SearchBudget(timeout=60), workers=2)
+    assert (exc_info.value.n_interactions, exc_info.value.budget_mb) == (24, 0)
+
+
 def test_parallel_construct_caps_pool_at_cpu_count_and_keeps_results(inline_pools, monkeypatch):
     model = parse_model("2^3")
     budget = SearchBudget(timeout=60, seed=4)

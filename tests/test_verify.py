@@ -3,6 +3,7 @@ import random
 import pytest
 
 from locaray import (
+    CapacityError,
     Interaction,
     SutModel,
     TestArray,
@@ -87,6 +88,14 @@ def test_strength_out_of_range(printer_locating):
         verify(printer_locating, 0)
     with pytest.raises(ValueError):
         verify(printer_locating, 5)
+
+
+def test_verify_refuses_a_catalog_over_the_memory_budget(printer_locating, monkeypatch):
+    # verify holds a row set per interaction, so the index's budget applies
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    with pytest.raises(CapacityError) as exc_info:
+        verify(printer_locating, 2)
+    assert exc_info.value.n_interactions == 30
 
 
 def test_default_report_lists_a_bounded_number_of_pairs():
