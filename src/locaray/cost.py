@@ -14,12 +14,9 @@ or more share it; most interactions of a nearly locating array are alone
 in their group, so a retarget usually moves one dict slot and touches no
 set.
 
-The build fills every row set at once with a column-mask kernel: one mask
-of rows per (factor, value), and each interaction's row set is the AND of
-the masks of its t pairs, about |I_t| big-int ANDs in all.  It walks the
-combinations by prefix: the partial ANDs of each (t-1)-factor prefix are
-extended by every later factor in one list comprehension, C(k, t-1)
-comprehensions in catalog order rather than one per combination.
+The build fills every row set at once with ``model.row_sets``, the
+column-mask kernel that ``verify`` also uses, and then groups them; the
+grouping and the incremental engine below are this module's own.
 
 A single entry change (row i, factor j) can only affect interactions
 containing factor j whose other pairs match row i, so a move touches
@@ -52,6 +49,7 @@ from .model import (
     TestArray,
     check_capacity,
     enumerate_interactions,
+    row_sets,
 )
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class CoverageIndex:
 
         self.model = model
         self.catalog, self._partners = _tables(model, t)
-        self.rowsets: list[int] = []
         self.uncovered_ids: list[int] = []
         self.colliding_ids: list[int] = []
         # row set -> the tid holding it, or the set of tids once two or more share it
@@ -117,29 +114,7 @@ class CoverageIndex:
     # --- construction --------------------------------------------------
 
     def _build(self, array: TestArray) -> None:
-        # masks[j][v]: the rows holding value v at factor j; a row set is the
-        # AND of its pairs' masks, walked by prefix (see the module docstring)
-        masks = [[0] * v for v in self.model.values]
-        for i, row in enumerate(array.rows):
-            bit = 1 << i
-            for j, value in enumerate(row):
-                masks[j][value] |= bit
-        rowsets = self.rowsets
-        k = len(masks)
-        last = self.catalog.strength - 1
-
-        # depth first over the prefixes, in lexicographic order: an entry holds
-        # a prefix's partial ANDs, the first factor that may follow it and its
-        # length; children are pushed last first, so that they pop first first
-        stack = [([-1], 0, 0)]  # -1: the empty prefix, covered by every row
-        while stack:
-            sets, start, depth = stack.pop()
-            if depth == last:
-                rowsets += [a & b for j in range(start, k) for a in sets for b in masks[j]]
-            else:
-                for j in reversed(range(start, k - last + depth)):
-                    stack.append(([a & b for a in sets for b in masks[j]], j + 1, depth + 1))
-
+        rowsets = self.rowsets = row_sets(array, self.catalog.strength)
         groups = self._groups
         uncovered = self.uncovered_ids
         colliding = self.colliding_ids

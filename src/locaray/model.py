@@ -3,7 +3,21 @@
 A system under test is described by the number of values each of its k
 factors can take.  A test is a row assigning one value to every factor; an
 interaction is a partial assignment touching t distinct factors.  The
-central relation is which rows of an array cover which interactions.
+central relation is which rows of an array cover which interactions:
+``rho`` answers it for one interaction by scanning the rows, and
+``row_sets`` for a whole catalog at once.
+
+``row_sets`` is the one row-set kernel, shared by the coverage index's
+build and by ``verify``.  It keeps one bit mask of rows per (factor,
+value), and the row set of an interaction is the AND of the masks of its t
+pairs, so a whole catalog costs about |I_t| big-int ANDs instead of
+|I_t| * m row scans.  The ANDs are taken by prefix: each (t-1)-factor
+prefix keeps its partial ANDs, the last factor varying fastest, and
+extends them by every later factor in one list comprehension.  Prefixes
+come in lexicographic order and each extension in ascending factor order,
+which is the catalog's order of combination blocks and of values within a
+block: C(k, t-1) comprehensions rather than C(k, t).  At t = 1 the empty
+prefix extends to the masks themselves.
 
 ``InteractionCatalog`` numbers the strength-t interactions densely, one
 block per factor combination; it holds only the combinations and their
@@ -14,7 +28,8 @@ a row set per interaction, the coverage index and ``verify``: it checks
 the strength (1..k, through ``check_strength``, which ``locate_fault``
 also uses) and compares |I_t| with the memory budget, 512 MiB unless
 ``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.  The
-CLI calls it too, in its own process before any file, pool or search.
+CLI calls it too, in its own process before any file, pool or search, and
+so does ``search.construct_runs`` before it starts a pool.
 
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,
@@ -191,6 +206,37 @@ def rho(array: TestArray, interaction: Interaction) -> frozenset[int]:
     return frozenset(
         i for i, row in enumerate(array.rows, start=1) if covers(row, interaction)
     )
+
+
+def row_sets(array: TestArray, t: int) -> list[int]:
+    """Covering row set of every strength-t interaction, in catalog order.
+
+    Each row set is a bit mask, bit i set when row i + 1 covers the
+    interaction; the kernel is described in the module docstring.  The
+    strength is not checked here: callers pass ``check_capacity`` first.
+    """
+    # masks[j][v]: the rows holding value v at factor j
+    masks = [[0] * v for v in array.model.values]
+    for i, row in enumerate(array.rows):
+        bit = 1 << i
+        for j, value in enumerate(row):
+            masks[j][value] |= bit
+    k = len(masks)
+    last = t - 1
+    rowsets: list[int] = []
+
+    # depth first over the prefixes, in lexicographic order: an entry holds
+    # a prefix's partial ANDs, the first factor that may follow it and its
+    # length; children are pushed last first, so that they pop first first
+    stack = [([-1], 0, 0)]  # -1: the empty prefix, covered by every row
+    while stack:
+        sets, start, depth = stack.pop()
+        if depth == last:
+            rowsets += [a & b for j in range(start, k) for a in sets for b in masks[j]]
+        else:
+            for j in reversed(range(start, k - last + depth)):
+                stack.append(([a & b for a in sets for b in masks[j]], j + 1, depth + 1))
+    return rowsets
 
 
 def random_array(model: SutModel, m: int, rng: Random) -> TestArray:

@@ -18,7 +18,7 @@ from random import Random
 from typing import NamedTuple
 
 from .anneal import AnnealParams, sa_run
-from .model import SutModel, TestArray
+from .model import SutModel, TestArray, check_capacity
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -207,8 +207,10 @@ def construct_runs(
     Runs in this process when ``workers <= 1``, otherwise in
     min(workers, cpu count, number of budgets) processes.  Every budget runs
     whatever the pool size, so a capped pool changes only the wall time,
-    never the results.
+    never the results.  Raises what ``model.check_capacity`` raises, from
+    this process and before any pool starts.
     """
+    check_capacity(model, t)
     if workers <= 1 or not budgets:
         return [construct(model, t, params, budget) for budget in budgets]
     with _process_pool(min(workers, os.cpu_count() or 1, len(budgets))) as pool:

@@ -1,21 +1,16 @@
 """Verifier for covering/locating properties, plus fault localization.
 
-This module is the independent oracle: it computes every covering row set
-from the array with its own column-mask kernel and never touches the
-incremental machinery in ``locaray.cost``.  What it shares with the index
-is the model's gate: ``verify`` asks ``model.check_capacity``, as every
+This module is the independent oracle: it never imports ``locaray.cost``,
+so neither the incremental engine nor the grouping of the coverage index
+reaches a verdict here.  What it shares with the index lives in
+``locaray.model``: the gate, the catalog decode and the row-set kernel
+``model.row_sets``, which computes every covering row set from the array
+(described there).  ``verify`` asks ``model.check_capacity``, as every
 index build does, before it holds a row set per interaction, and
 ``locate_fault`` asks ``model.check_strength``.  An array of strength t is
 *covering* when every t-way interaction is covered by at least one row, and
 *locating* (for at most one fault) when, in addition, no two distinct t-way
 interactions share the same covering row set.
-
-The kernel keeps one bit mask of rows per (factor, value), bit i set when
-row i + 1 holds that value.  The row set of an interaction is the AND of
-the masks of its t pairs, so a whole catalog of row sets costs about |I_t|
-big-int ANDs instead of |I_t| * m row scans.  The ANDs are taken by
-prefix: each (t-1)-factor prefix keeps its partial ANDs and extends them by
-every later factor in one list comprehension, in catalog order.
 
 ``verify`` counts the interactions of each distinct row set and builds a
 member list only for the shared row sets, plus the empty one.  Only then,
@@ -32,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .model import Interaction, TestArray, check_capacity, check_strength, enumerate_interactions
+from .model import Interaction, TestArray, check_capacity, check_strength, enumerate_interactions, row_sets
 
 DEFAULT_COLLISION_PAIRS = 1000  # pairs listed in a report unless the caller asks otherwise
 
@@ -59,52 +54,13 @@ class VerifyReport:
     collisions_truncated: bool = False
 
 
-def _column_masks(array: TestArray) -> list[list[int]]:
-    """masks[j][v]: bit i set iff row i (0-based) has value v at factor j."""
-    masks = [[0] * v for v in array.model.values]
-    for i, row in enumerate(array.rows):
-        bit = 1 << i
-        for j, value in enumerate(row):
-            masks[j][value] |= bit
-    return masks
-
-
 def _value_mask(array: TestArray, j: int, value: int) -> int:
-    """One entry of ``_column_masks``: bit i set iff row i has ``value`` at factor j."""
+    """One column mask of ``model.row_sets``: bit i set iff row i has ``value`` at factor j."""
     bits = 0
     for i, row in enumerate(array.rows):
         if row[j] == value:
             bits |= 1 << i
     return bits
-
-
-def _row_sets(array: TestArray, t: int) -> list[int]:
-    """Covering row set of every strength-t interaction, in catalog order.
-
-    The walk keeps the partial ANDs of each (t-1)-factor prefix, the last
-    factor varying fastest, and extends them by every later factor in one
-    comprehension.  Prefixes come in lexicographic order and each extension
-    in ascending factor order, which is the catalog's order of combination
-    blocks and of values within a block: C(k, t-1) comprehensions rather
-    than C(k, t).  At t = 1 the empty prefix extends to the masks themselves.
-    """
-    masks = _column_masks(array)
-    k = len(masks)
-    last = t - 1
-    rowsets: list[int] = []
-
-    # depth first over the prefixes, in lexicographic order: an entry holds
-    # a prefix's partial ANDs, the first factor that may follow it and its
-    # length; children are pushed last first, so that they pop first first
-    stack = [([-1], 0, 0)]  # -1: the empty prefix, covered by every row
-    while stack:
-        sets, start, depth = stack.pop()
-        if depth == last:
-            rowsets += [a & b for j in range(start, k) for a in sets for b in masks[j]]
-        else:
-            for j in reversed(range(start, k - last + depth)):
-                stack.append(([a & b for a in sets for b in masks[j]], j + 1, depth + 1))
-    return rowsets
 
 
 def _rows(bits: int) -> frozenset[int]:
@@ -132,7 +88,7 @@ def verify(
     row sets would not fit the memory budget.
     """
     check_capacity(array.model, t)
-    rowsets = _row_sets(array, t)
+    rowsets = row_sets(array, t)
     counts = Counter(rowsets)  # row set -> group size, in first-occurrence order
     shared = list(itertools.compress(counts, map((1).__lt__, counts.values())))  # size >= 2
     collision_count = sum(comb(counts[bits], 2) for bits in shared)

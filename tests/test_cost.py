@@ -17,8 +17,7 @@ from locaray import (
     verify,
 )
 from locaray.cost import _BYTES_PER_INTERACTION, apply_move, build_index, entry_move, overwrite_move, undo_move
-from locaray.model import enumerate_interactions, random_array
-from locaray.verify import _row_sets
+from locaray.model import enumerate_interactions, random_array, row_sets
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -333,12 +332,13 @@ def test_each_model_and_strength_gets_its_own_tables(catalog_builds, printer_cov
     assert catalog_builds == [(printer_covering.model, 2), (SutModel((3, 3, 2)), 2), (printer_covering.model, 1)]
 
 
-# --- the prefix walk of the row-set kernels --------------------------------------
+# --- the prefix walk of the row-set kernel ----------------------------------------
 
 
 @pytest.mark.parametrize("m", [0, 1, 63, 64, 65])
 def test_prefix_walks_equal_per_interaction_ands(m):
-    # verify and the index each walk row sets by prefix, in their own copy
+    # model.row_sets walks row sets by prefix for both verify and the index;
+    # the index must hold exactly what the kernel returns
     rng = random.Random(f"prefix-walk:{m}")
     for _ in range(10):
         model = random_model(rng, max_k=6, max_v=3)
@@ -354,5 +354,5 @@ def test_prefix_walks_equal_per_interaction_ands(m):
                 for j, v in interaction.pairs:
                     bits &= masks[j][v]
                 expected.append(bits)
-            assert _row_sets(array, t) == expected
+            assert row_sets(array, t) == expected
             assert build_index(array, t).rowsets == expected

@@ -356,12 +356,21 @@ def test_budget_validation():
 
 
 def test_parallel_construct_raises_a_workers_capacity_error(monkeypatch):
-    # each of two real worker processes refuses the catalog; the parent
-    # must get the CapacityError back, not a broken pool
+    # the parent refuses the catalog before it starts any pool, so the
+    # CapacityError is its own, not a broken pool's; an error coming back
+    # from a worker is covered by the pickle round trip in test_model.py
     monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
     with pytest.raises(locaray.CapacityError) as exc_info:
         locaray.parallel_construct(parse_model("2^4"), 2, budget=SearchBudget(timeout=60), workers=2)
     assert (exc_info.value.n_interactions, exc_info.value.budget_mb) == (24, 0)
+
+
+def test_parallel_construct_checks_capacity_before_any_pool(inline_pools, monkeypatch):
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    with pytest.raises(locaray.CapacityError) as exc_info:
+        locaray.parallel_construct(parse_model("2^4"), 2, workers=2)
+    assert (exc_info.value.n_interactions, exc_info.value.budget_mb) == (24, 0)
+    assert inline_pools == []
 
 
 def test_parallel_construct_caps_pool_at_cpu_count_and_keeps_results(inline_pools, monkeypatch):

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import pathlib
 import random
 
 import pytest
@@ -262,3 +265,28 @@ def test_verify_matches_literal_oracle_at_every_cap(t):
         array = _random_case(rng, t)
         for cap in (None, 0, 1, 5, 1000):
             assert verify(array, t, max_collision_pairs=cap) == literal_verify(array, t, cap)
+
+
+# --- the oracle boundary ---------------------------------------------------------
+
+
+def _imported_modules(tree):
+    """Absolute names of every module an ``import`` in the tree can bind, relative
+    imports resolved against the ``locaray`` package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "locaray" + (f".{module}" if module else "")
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_verify_module_imports_nothing_from_the_index():
+    # the verifier stays an oracle for the index only while it shares none of its code
+    source = pathlib.Path(importlib.import_module("locaray.verify").__file__).read_text()
+    names = list(_imported_modules(ast.parse(source)))
+    assert "locaray.model.row_sets" in names  # the walk sees the kernel's import
+    assert not [name for name in names if name == "locaray.cost" or name.startswith("locaray.cost.")]
