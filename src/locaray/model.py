@@ -21,15 +21,20 @@ prefix extends to the masks themselves.
 
 ``InteractionCatalog`` numbers the strength-t interactions densely, one
 block per factor combination; it holds only the combinations and their
-block offsets, and decodes an index by ``divmod`` over the value counts.
+block offsets, and decodes indices by ``divmod`` over the value counts, a
+whole list in one ``interactions_at`` call.  ``enumerate_interactions``
+caches the catalog of the last (model, t) asked for, so the coverage
+index's tables and ``verify`` share one.
 
 ``check_capacity`` is the one gate in front of every structure that holds
 a row set per interaction, the coverage index and ``verify``: it checks
 the strength (1..k, through ``check_strength``, which ``locate_fault``
 also uses) and compares |I_t| with the memory budget, 512 MiB unless
-``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.  The
-CLI calls it too, in its own process before any file, pool or search, and
-so does ``search.construct_runs`` before it starts a pool.
+``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.
+|I_t| is memoized for the last (model, t), but the budget is read on every
+call, so a lowered budget still refuses.  The CLI calls it too, in its own
+process before any file, pool or search, and so does
+``search.construct_runs`` before it starts a pool.
 
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,
@@ -37,6 +42,7 @@ reports, the array file format).
 """
 
 import bisect
+import functools
 import itertools
 import math
 import os
@@ -246,10 +252,12 @@ def random_array(model: SutModel, m: int, rng: Random) -> TestArray:
     return TestArray(model, [[rng.randrange(v) for v in model.values] for _ in range(m)])
 
 
+@functools.lru_cache(maxsize=1)
 def interaction_count(model: SutModel, t: int) -> int:
     """|I_t|: number of strength-t interactions, via the closed form
     sum over t-subsets S of factors of prod_{j in S} v_j (computed as the
-    x^t coefficient of prod_j (1 + v_j x))."""
+    x^t coefficient of prod_j (1 + v_j x)).  Memoized for the last (model,
+    t), which ``check_capacity`` asks about once per index build and verify."""
     if t < 0 or t > model.k:
         raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
     coeffs = [1] + [0] * t
@@ -336,22 +344,35 @@ class InteractionCatalog:
         return self.size
 
     def interaction_at(self, idx: int) -> Interaction:
-        """Interaction at a dense index, in the order iteration yields them.
+        """Interaction at a dense index, in the order iteration yields them."""
+        return self.interactions_at((idx,))[0]
 
-        The rank within the block is peeled off from the last factor, which
-        varies fastest, one ``divmod`` by its value count per factor.
+    def interactions_at(self, tids) -> list[Interaction]:
+        """The interactions at a sequence of dense indices, in that order.
+
+        A tid's block is found by bisecting the offsets, and its rank within
+        the block is peeled off from the last factor, which varies fastest,
+        one ``divmod`` by its value count per factor.
         """
-        if not 0 <= idx < self.size:
-            raise IndexError(idx)
-        pos = bisect.bisect_right(self.offsets, idx) - 1
-        rem = idx - self.offsets[pos]
+        size = self.size
+        offsets = self.offsets
+        combos = self.combos
         values = self.model.values
-        pairs = []
-        for j in reversed(self.combos[pos]):
-            rem, v = divmod(rem, values[j])
-            pairs.append((j, v))
-        # combos are ascending, so the reversed pairs are canonical
-        return Interaction._canonical(tuple(reversed(pairs)))
+        find = bisect.bisect_right
+        canonical = Interaction._canonical
+        out = []
+        for idx in tids:
+            if not 0 <= idx < size:
+                raise IndexError(idx)
+            pos = find(offsets, idx) - 1
+            rem = idx - offsets[pos]
+            pairs = []
+            for j in reversed(combos[pos]):
+                rem, v = divmod(rem, values[j])
+                pairs.append((j, v))
+            # combos are ascending, so the reversed pairs are canonical
+            out.append(canonical(tuple(reversed(pairs))))
+        return out
 
     def __iter__(self):
         for combo in self.combos:
@@ -359,8 +380,13 @@ class InteractionCatalog:
                 yield Interaction(tuple(zip(combo, values)))
 
 
+@functools.lru_cache(maxsize=1)
 def enumerate_interactions(model: SutModel, t: int) -> InteractionCatalog:
-    """Catalog of every strength-t interaction of the model, canonically ordered."""
+    """Catalog of every strength-t interaction of the model, canonically ordered.
+
+    The catalog of the last (model, t) asked for is cached and shared, read
+    only, by every caller: the coverage index's tables and ``verify``.
+    """
     return InteractionCatalog(model, t)
 
 

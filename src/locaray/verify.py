@@ -12,10 +12,14 @@ index build does, before it holds a row set per interaction, and
 *locating* (for at most one fault) when, in addition, no two distinct t-way
 interactions share the same covering row set.
 
-``verify`` counts the interactions of each distinct row set and builds a
-member list only for the shared row sets, plus the empty one.  Only then,
-and only if one of those exists, does it build the interaction catalog, to
-decode what the report lists; on a locating array it builds none.
+``verify`` groups the row sets in one pass: a dict keeps the first tid of
+each row set, and every later tid joins the member list of a shared row
+set.  Only the members of the empty row set, which are the uncovered
+interactions, and of the shared row sets the pair list reaches are
+decoded, in one ``InteractionCatalog.interactions_at`` call on the catalog
+``model.enumerate_interactions`` caches for the last (model, t), which the
+coverage index shares; on a locating array nothing is decoded and no
+catalog is asked for.
 ``locate_fault`` never builds the whole kernel: comparing the failing rows
 picks the few factors an answer can use, |F| * k compares, and only those
 factors get a mask.  ``Interaction`` objects are built only for what a
@@ -23,7 +27,6 @@ report or a fault query returns.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -73,6 +76,32 @@ def _rows(bits: int) -> frozenset[int]:
     return frozenset(rows)
 
 
+def _shared_groups(rowsets: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The tids of every shared row set, one ascending list per row set in
+    the order the row sets first occur, and the tids of the empty row set,
+    which are the uncovered interactions.
+
+    One pass keeps the first tid of each row set and lists every later tid,
+    which is what makes a row set shared; a locating array has none.  The
+    dict of first tids holds one per interaction and is freed on return,
+    before the report decodes anything.
+    """
+    first: dict[int, int] = {}
+    claim = first.setdefault
+    later = [tid for tid, bits in enumerate(rowsets) if claim(bits, tid) != tid]
+    groups: dict[int, list[int]] = {}
+    for tid in later:
+        bits = rowsets[tid]
+        group = groups.get(bits)
+        if group is None:
+            groups[bits] = [first[bits], tid]
+        else:
+            group.append(tid)
+    empty = groups.get(0) or ([first[0]] if 0 in first else [])
+    # first tids are distinct, so the lists sort by them alone
+    return sorted(groups.values()), empty
+
+
 def verify(
     array: TestArray, t: int, max_collision_pairs: int | None = DEFAULT_COLLISION_PAIRS
 ) -> VerifyReport:
@@ -83,38 +112,39 @@ def verify(
     in the order the groups' row sets first occur in the catalog.
     ``max_collision_pairs`` caps only the materialized pair list, never the
     reported count; ``None`` lists every pair, which on a near-empty array
-    is about |I_t|^2 / 2 of them.  Raises what ``model.check_capacity``
-    raises: ValueError for a strength outside 1..k, CapacityError when the
-    row sets would not fit the memory budget.
+    is about |I_t|^2 / 2 of them.  Raises ValueError for a negative cap, and
+    what ``model.check_capacity`` raises: ValueError for a strength outside
+    1..k, CapacityError when the row sets would not fit the memory budget.
     """
+    if max_collision_pairs is not None and max_collision_pairs < 0:
+        raise ValueError(f"max_collision_pairs must be None or >= 0, got {max_collision_pairs}")
     check_capacity(array.model, t)
     rowsets = row_sets(array, t)
-    counts = Counter(rowsets)  # row set -> group size, in first-occurrence order
-    shared = list(itertools.compress(counts, map((1).__lt__, counts.values())))  # size >= 2
-    collision_count = sum(comb(counts[bits], 2) for bits in shared)
+
+    shared, uncovered_tids = _shared_groups(rowsets)
+    collision_count = sum(comb(len(group), 2) for group in shared)
     listed = collision_count if max_collision_pairs is None else min(collision_count, max_collision_pairs)
 
-    # member lists only for the shared row sets, and for the empty one,
-    # whose members are the uncovered interactions; a locating array has
-    # neither, so it needs no member scan and no catalog
-    members: dict[int, list[int]] = {bits: [] for bits in shared}
-    if 0 in counts:
-        members.setdefault(0, [])
+    # only the uncovered interactions and the groups the pair list reaches
+    # are decoded, in one batch
+    listed_groups = []
+    room = listed
+    for group in shared:
+        if room <= 0:
+            break
+        # a group's first `room` pairs pair up only its first room + 1 members
+        listed_groups.append(group[: room + 1])
+        room -= comb(len(group), 2)
     uncovered: list[Interaction] = []
     collisions: list[tuple[Interaction, Interaction, frozenset[int]]] = []
-    if members:
-        for tid, bits in itertools.compress(enumerate(rowsets), map(members.__contains__, rowsets)):
-            members[bits].append(tid)
-        interaction = enumerate_interactions(array.model, t).interaction_at
-        uncovered = [interaction(tid) for tid in members.get(0, ())]
-        for bits in shared:
-            room = listed - len(collisions)
-            if room <= 0:
-                break
-            # a group's first `room` pairs pair up only its first room + 1 members
-            pairs = itertools.combinations([interaction(tid) for tid in members[bits][: room + 1]], 2)
-            rows = _rows(bits)
-            collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, room))
+    if uncovered_tids or listed_groups:
+        decode = enumerate_interactions(array.model, t).interactions_at
+        decoded = iter(decode(uncovered_tids + list(itertools.chain.from_iterable(listed_groups))))
+        uncovered = list(itertools.islice(decoded, len(uncovered_tids)))
+        for group in listed_groups:
+            pairs = itertools.combinations(itertools.islice(decoded, len(group)), 2)
+            rows = _rows(rowsets[group[0]])
+            collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, listed - len(collisions)))
 
     is_covering = not uncovered
     is_locating_exact1 = collision_count == 0

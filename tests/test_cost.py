@@ -17,7 +17,7 @@ from locaray import (
     verify,
 )
 from locaray.cost import _BYTES_PER_INTERACTION, apply_move, build_index, entry_move, overwrite_move, undo_move
-from locaray.model import enumerate_interactions, random_array, row_sets
+from locaray.model import InteractionCatalog, enumerate_interactions, random_array, row_sets
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -287,6 +287,7 @@ def test_capacity_constant_bounds_measured_footprint():
         arr = random_array(parse_model(spec), 33, random.Random(1))
         build_index(arr, t)  # first build pays one-off allocations outside the index
         cost._tables.cache_clear()
+        enumerate_interactions.cache_clear()
         tracemalloc.start()
         try:
             index = build_index(arr, t)
@@ -330,6 +331,29 @@ def test_each_model_and_strength_gets_its_own_tables(catalog_builds, printer_cov
     lower = build_index(printer_covering, 1)
     assert lower.catalog.strength == 1 and len(lower.catalog) == 9
     assert catalog_builds == [(printer_covering.model, 2), (SutModel((3, 3, 2)), 2), (printer_covering.model, 1)]
+
+
+def test_construct_and_verify_share_one_catalog(monkeypatch):
+    built = []
+
+    class CountingCatalog(InteractionCatalog):
+        def __init__(self, sut, t):
+            built.append((sut, t))
+            super().__init__(sut, t)
+
+    cost._tables.cache_clear()
+    enumerate_interactions.cache_clear()
+    monkeypatch.setattr("locaray.model.InteractionCatalog", CountingCatalog)
+    try:
+        sut = SutModel((2, 2, 2, 3))
+        result = construct(sut, 2, budget=SearchBudget(timeout=60, seed=1))
+        # neither array locates, so both reports decode interactions
+        assert not verify(TestArray(sut, []), 2).is_covering
+        assert not verify(TestArray(sut, result.array.rows[:2]), 2).is_locating_1bar
+        assert built == [(sut, 2)]
+    finally:
+        cost._tables.cache_clear()
+        enumerate_interactions.cache_clear()
 
 
 # --- the prefix walk of the row-set kernel ----------------------------------------

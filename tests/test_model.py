@@ -16,7 +16,7 @@ from locaray import (
     parse_model,
     rho,
 )
-from locaray.model import MAX_FACTORS, covers, enumerate_interactions, random_array
+from locaray.model import MAX_FACTORS, check_capacity, covers, enumerate_interactions, random_array
 
 
 def brute_force_interactions(model, t):
@@ -147,6 +147,29 @@ def test_index_round_trips():
                     catalog.interaction_at(idx)
 
 
+def test_batch_decode_equals_one_at_a_time():
+    # interaction_at decodes through interactions_at, so iteration order is
+    # the independent reference for both
+    for model in (SutModel((2, 2, 2, 3)), SutModel((3, 4, 2)), SutModel((2, 5)), SutModel((4,))):
+        for t in range(model.k + 1):
+            catalog = enumerate_interactions(model, t)
+            tids = list(range(len(catalog)))
+            tids += tids[::-1]
+            batch = catalog.interactions_at(tids)
+            assert batch == [catalog.interaction_at(i) for i in tids]
+            assert batch == [list(catalog)[i] for i in tids]
+    catalog = enumerate_interactions(parse_model("2^40 3^10"), 2)
+    everything = list(catalog)
+    rng = random.Random(14)
+    edges = [offset + d for offset in catalog.offsets for d in (-1, 0) if offset + d >= 0] + [len(catalog) - 1]
+    tids = [rng.randrange(len(catalog)) for _ in range(500)] + edges
+    batch = catalog.interactions_at(tids)
+    assert batch == [catalog.interaction_at(i) for i in tids] == [everything[i] for i in tids]
+    for bad in (-1, len(catalog)):
+        with pytest.raises(IndexError):
+            catalog.interactions_at([0, bad])
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_interaction_at_equals_the_checked_constructor(t):
     # interaction_at skips the sort and duplicate check; nothing may tell
@@ -236,6 +259,18 @@ def test_capacity_error_survives_pickling():
     copy = pickle.loads(pickle.dumps(error))
     assert (copy.n_interactions, copy.budget_mb) == (30, 0)
     assert str(copy) == str(error) == "30 interactions exceed the 0 MiB index budget (override with LOCARAY_MEM_BUDGET_MB)"
+
+
+def test_capacity_counts_interactions_once_per_model_and_strength(monkeypatch):
+    model = parse_model("2^40 3^10")
+    check_capacity(model, 2)
+    before = interaction_count.cache_info()
+    check_capacity(parse_model("2^40 3^10"), 2)
+    assert interaction_count.cache_info().hits == before.hits + 1
+    assert interaction_count.cache_info().misses == before.misses
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    with pytest.raises(CapacityError):  # the budget is read on every call
+        check_capacity(model, 2)
 
 
 # --- array file format -----------------------------------------------------------

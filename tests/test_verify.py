@@ -120,6 +120,33 @@ def test_collision_list_truncation(printer_covering):
     assert report.collisions_truncated
 
 
+def test_negative_pair_cap_is_rejected(printer_covering):
+    # a negative cap used to list no pair and report the list truncated
+    with pytest.raises(ValueError, match="max_collision_pairs"):
+        verify(printer_covering, 2, max_collision_pairs=-1)
+
+
+@pytest.mark.parametrize("cap", [1, 2, None])
+def test_pairs_come_in_the_order_their_row_sets_first_occur(cap):
+    # over two rows of 2^4 at t=1 the row sets first occur in the order
+    # {1,2}, {}, {1}, {2}, but their second members in the order {1}, {2}, {1,2}, {}
+    array = TestArray(SutModel((2, 2, 2, 2)), [[0, 0, 0, 0], [0, 1, 1, 0]])
+
+    def one(j, v):
+        return Interaction(((j, v),))
+
+    expected = [
+        (one(0, 0), one(3, 0), frozenset({1, 2})),
+        (one(0, 1), one(3, 1), frozenset()),
+        (one(1, 0), one(2, 0), frozenset({1})),
+        (one(1, 1), one(2, 1), frozenset({2})),
+    ]
+    report = verify(array, 1, max_collision_pairs=cap)
+    assert report.collisions == expected[:cap]
+    assert report.collision_count == 4
+    assert report.uncovered == [one(0, 1), one(3, 1)]
+
+
 # --- fault localization -------------------------------------------------------
 
 
