@@ -29,9 +29,11 @@ the row bit, updates both kinds.
 
 The catalog and the partner tables depend only on (model, t).  They are
 read-only tuples, cached for the last (model, t) built, so every probe of
-one construct shares one set.  The memory budget and the strength range
-are not decided here: every build first asks ``model.check_capacity``,
-before the cache is consulted, so a lowered budget still refuses.
+one construct shares one set; the catalog is the one
+``model.enumerate_interactions`` caches, which ``verify`` shares too.  The
+memory budget and the strength range are not decided here: every build
+first asks ``model.check_capacity``, before the cache is consulted, so a
+lowered budget still refuses.
 
 ``apply_move`` logs the tids each entry change toggled, and ``undo_move``
 replays that log rather than walking the partner tables again.  So an

@@ -153,11 +153,11 @@ def test_batch_decode_equals_one_at_a_time():
     for model in (SutModel((2, 2, 2, 3)), SutModel((3, 4, 2)), SutModel((2, 5)), SutModel((4,))):
         for t in range(model.k + 1):
             catalog = enumerate_interactions(model, t)
+            everything = list(catalog)
             tids = list(range(len(catalog)))
             tids += tids[::-1]
             batch = catalog.interactions_at(tids)
-            assert batch == [catalog.interaction_at(i) for i in tids]
-            assert batch == [list(catalog)[i] for i in tids]
+            assert batch == [catalog.interaction_at(i) for i in tids] == [everything[i] for i in tids]
     catalog = enumerate_interactions(parse_model("2^40 3^10"), 2)
     everything = list(catalog)
     rng = random.Random(14)
