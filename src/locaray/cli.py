@@ -1,10 +1,13 @@
 """Command-line front end: generate, verify, bound, locate, bench.
 
 Exit codes: 0 success, 1 verification failed, 2 no array within the
-timeout, 3 interaction catalog over the memory budget, 64 usage error.
+timeout, 3 interaction catalog over the memory budget, 64 usage error,
+including an output file that cannot be written, before or after the
+search.
 """
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -128,6 +131,36 @@ def _check_writable(path: str) -> None:
         raise _UsageError(f"cannot write {path}")
 
 
+def _write_checked(path: str, action, *args, **kwargs):
+    """``action(*args, **kwargs)``, with an OSError turned into the usage
+    error ``_check_writable`` gives, naming ``path``, so a write that fails
+    after the search exits 64, not 1."""
+    try:
+        return action(*args, **kwargs)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
+class _Output(contextlib.AbstractContextManager):
+    """``bench``'s CSV or log: the file at ``path`` opened for writing, or
+    stdout when ``path`` is None.  Every write is flushed.  The open, each
+    write and flush, and the close go through ``_write_checked``; the close
+    too, since after a failed write it fails again on what is still
+    buffered."""
+
+    def __init__(self, path: str | None):
+        self.path = path or "stdout"
+        self.fh = _write_checked(self.path, open, path, "w", newline="") if path else sys.stdout
+
+    def write(self, text: str) -> None:
+        _write_checked(self.path, self.fh.write, text)
+        _write_checked(self.path, self.fh.flush)
+
+    def __exit__(self, *exc) -> None:
+        if self.fh is not sys.stdout:
+            _write_checked(self.path, self.fh.close)
+
+
 def _params_from(args) -> AnnealParams:
     return _usage_checked(
         AnnealParams,
@@ -174,7 +207,7 @@ def cmd_generate(args) -> int:
         return EXIT_NO_ARRAY
     print(f"rows={result.rows}")
     if args.out:
-        save_array(result.array, args.strength, args.out)
+        _write_checked(args.out, save_array, result.array, args.strength, args.out)
         print(f"out={args.out}")
     else:
         sys.stdout.write(format_array(result.array, args.strength))
@@ -272,18 +305,11 @@ def cmd_bench(args) -> int:
         _check_writable(path)
     _check_catalogs(args.strength, [(f"suite instance {name}: ", parse_model(spec)) for name, spec in entries])
 
-    out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _Output(args.out) as out_fh, _Output(log_path) as log:
         writer = csv.writer(out_fh, lineterminator="\n")
         writer.writerow(["name", "model", "x", "y", "runs", "mean_time_s", "mean_rows", "min_rows"])
-        with open(log_path, "w") as log:
-            for name, spec in entries:
-                record = _bench_instance(name, spec, args, log)
-                writer.writerow(record)
-                out_fh.flush()
-    finally:
-        if out_fh is not sys.stdout:
-            out_fh.close()
+        for name, spec in entries:
+            writer.writerow(_bench_instance(name, spec, args, log))
     return EXIT_OK
 
 

@@ -21,33 +21,27 @@ grouping and the incremental engine below are this module's own.
 A single entry change (row i, factor j) can only affect interactions
 containing factor j whose other pairs match row i, so a move touches
 O(C(k-1, t-1)) interactions rather than all of I_t.  The index finds them
-through per-factor partner tables: for every factor combination
-containing j, its block offset, j's stride and the (factor, stride) pairs
-of the other factors.  The same path serves every strength.  Each
-interaction touched loses or gains row i, so one toggle loop, which XORs
-the row bit, updates both kinds.
+through the catalog's per-factor partner tables,
+``InteractionCatalog.partners``: for every factor combination containing
+j, its block offset, j's stride and the (factor, stride) pairs of the
+other factors.  The same path serves every strength.  Each interaction
+touched loses or gains row i, so one toggle loop, which XORs the row bit,
+updates both kinds.
 
-The catalog and the partner tables depend only on (model, t).  They are
-read-only tuples, cached for the last (model, t) built, so every probe of
-one construct shares one set; the catalog is the one
-``model.enumerate_interactions`` caches, which ``verify`` shares too.  The
-memory budget and the strength range are not decided here: every build
-first asks ``model.check_capacity``, before the cache is consulted, so a
-lowered budget still refuses.
+The catalog and its tables come from the one (model, t) cache, described
+in ``locaray.model``.  Every build first asks ``model.check_capacity``,
+before the cache is consulted, so a lowered budget still refuses.
 
 ``apply_move`` logs the tids each entry change toggled, and ``undo_move``
 replays that log rather than walking the partner tables again.  So an
 undo reverts only the last move applied; any other move raises.
 """
 
-import functools
 from dataclasses import dataclass
 
 from .model import (
     _BYTES_PER_INTERACTION,  # the gate's footprint figure, which perfbench reads here
     Interaction,
-    InteractionCatalog,
-    SutModel,
     TestArray,
     check_capacity,
     enumerate_interactions,
@@ -98,11 +92,9 @@ class CoverageIndex:
     """
 
     def __init__(self, array: TestArray, t: int):
-        model = array.model
-        check_capacity(model, t)  # before the cache
-
-        self.model = model
-        self.catalog, self._partners = _tables(model, t)
+        check_capacity(array.model, t)  # before the cache
+        self.catalog = enumerate_interactions(array.model, t)
+        self._partners = self.catalog.partners
         self.uncovered_ids: list[int] = []
         self.colliding_ids: list[int] = []
         # row set -> the tid holding it, or the set of tids once two or more share it
@@ -231,40 +223,6 @@ class CoverageIndex:
     def snapshot(self):
         """Comparable state for consistency checks in tests."""
         return (tuple(self.rowsets), self.uncovered_count, self.collision_count)
-
-
-def _partner_tables(catalog: InteractionCatalog) -> tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]:
-    """Per factor j, one (offset, stride of j, ((other factor, stride), ...))
-    entry for each factor combination containing j, in catalog order.
-
-    A factor's stride is the product of the value counts of the factors
-    after it in its combination.  The order fixes the order of the
-    sample-set updates of an entry change, and so the positions the RNG
-    picks from: catalog order for a fixed j is ascending in the partner
-    factors at every strength.
-    """
-    values = catalog.model.values
-    tables: list[list] = [[] for _ in values]
-    shared: dict[tuple, tuple] = {}  # equal partner tuples are stored once
-    for combo, offset in zip(catalog.combos, catalog.offsets):
-        strides = []
-        step = 1
-        for j in reversed(combo):
-            strides.append(step)
-            step *= values[j]
-        strides.reverse()
-        for d, j in enumerate(combo):
-            others = tuple((jj, stride) for e, (jj, stride) in enumerate(zip(combo, strides)) if e != d)
-            tables[j].append((offset, strides[d], shared.setdefault(others, others)))
-    return tuple(tuple(entries) for entries in tables)
-
-
-@functools.lru_cache(maxsize=1)
-def _tables(model: SutModel, t: int) -> tuple[InteractionCatalog, tuple]:
-    """The catalog and partner tables of (model, t), read-only and shared by
-    every index built on them, so the probes of one construct build them once."""
-    catalog = enumerate_interactions(model, t)
-    return catalog, _partner_tables(catalog)
 
 
 def build_index(array: TestArray, t: int) -> CoverageIndex:

@@ -20,11 +20,18 @@ block: C(k, t-1) comprehensions rather than C(k, t).  At t = 1 the empty
 prefix extends to the masks themselves.
 
 ``InteractionCatalog`` numbers the strength-t interactions densely, one
-block per factor combination; it holds only the combinations and their
-block offsets, and decodes indices by ``divmod`` over the value counts, a
-whole list in one ``interactions_at`` call.  ``enumerate_interactions``
-caches the catalog of the last (model, t) asked for, so the coverage
-index's tables and ``verify`` share one.
+block per factor combination; it holds the combinations and their block
+offsets, decodes indices by ``divmod`` over the value counts, a whole list
+in one ``interactions_at`` call, and encodes them for the coverage index
+through its ``partners`` tables, built on first use.
+
+``enumerate_interactions`` is the one (model, t) cache: it keeps the
+catalog of the last (model, t) asked for, and with it the partner tables
+once an index has asked for them.  So every probe of one construct, and
+``verify``, share one catalog and one set of tables, all read-only tuples;
+a verify-only run never builds the tables.  ``interaction_count`` keeps
+its own memo of |I_t| for the gate below, which must count the catalog
+before anything of that size is built.
 
 ``check_capacity`` is the one gate in front of every structure that holds
 a row set per interaction, the coverage index and ``verify``: it checks
@@ -343,6 +350,30 @@ class InteractionCatalog:
     def __len__(self) -> int:
         return self.size
 
+    @functools.cached_property
+    def partners(self) -> tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], ...]:
+        """Per factor j, one (offset, stride of j, ((other factor, stride), ...))
+        entry for each factor combination containing j, in catalog order:
+        the tid encoding of the coverage index's entry changes.
+
+        A factor's stride is the product of the value counts of the factors
+        after it in its combination, so a tid is its block's offset plus the
+        sum of value * stride over its pairs.  The order fixes the order of
+        the sample-set updates of an entry change, and so the positions the
+        RNG picks from: catalog order for a fixed j is ascending in the
+        partner factors at every strength.  Built on first use, so a catalog
+        that only ``verify`` asked for never holds them.
+        """
+        values = self.model.values
+        tables: list[list] = [[] for _ in values]
+        shared: dict[tuple, tuple] = {}  # equal partner tuples are stored once
+        for combo, offset in zip(self.combos, self.offsets):
+            strides = [math.prod(values[jj] for jj in combo[d + 1 :]) for d in range(len(combo))]
+            for d, j in enumerate(combo):
+                others = tuple((jj, stride) for e, (jj, stride) in enumerate(zip(combo, strides)) if e != d)
+                tables[j].append((offset, strides[d], shared.setdefault(others, others)))
+        return tuple(tuple(entries) for entries in tables)
+
     def interaction_at(self, idx: int) -> Interaction:
         """Interaction at a dense index, in the order iteration yields them."""
         return self.interactions_at((idx,))[0]
@@ -384,8 +415,9 @@ class InteractionCatalog:
 def enumerate_interactions(model: SutModel, t: int) -> InteractionCatalog:
     """Catalog of every strength-t interaction of the model, canonically ordered.
 
-    The catalog of the last (model, t) asked for is cached and shared, read
-    only, by every caller: the coverage index's tables and ``verify``.
+    The one (model, t) cache, described in the module docstring: the
+    catalog of the last (model, t) asked for, with its partner tables once
+    built, shared read-only by every coverage index and ``verify``.
     """
     return InteractionCatalog(model, t)
 

@@ -16,10 +16,10 @@ interactions share the same covering row set.
 each row set, and every later tid joins the member list of a shared row
 set.  Only the members of the empty row set, which are the uncovered
 interactions, and of the shared row sets the pair list reaches are
-decoded, in one ``InteractionCatalog.interactions_at`` call on the catalog
-``model.enumerate_interactions`` caches for the last (model, t), which the
-coverage index shares; on a locating array nothing is decoded and no
-catalog is asked for.
+decoded, each tid once, in one ``InteractionCatalog.interactions_at`` call
+on the catalog of the one (model, t) cache, ``model.enumerate_interactions``,
+which the coverage index shares; on a locating array nothing is decoded
+and no catalog is asked for.
 ``locate_fault`` never builds the whole kernel: comparing the failing rows
 picks the few factors an answer can use, |F| * k compares, and only those
 factors get a mask.  ``Interaction`` objects are built only for what a
@@ -138,12 +138,15 @@ def verify(
     uncovered: list[Interaction] = []
     collisions: list[tuple[Interaction, Interaction, frozenset[int]]] = []
     if uncovered_tids or listed_groups:
+        # a listed empty row set is a prefix of the uncovered tids, decoded once
         decode = enumerate_interactions(array.model, t).interactions_at
-        decoded = iter(decode(uncovered_tids + list(itertools.chain.from_iterable(listed_groups))))
+        shared_tids = itertools.chain.from_iterable(group for group in listed_groups if rowsets[group[0]])
+        decoded = iter(decode(uncovered_tids + list(shared_tids)))
         uncovered = list(itertools.islice(decoded, len(uncovered_tids)))
         for group in listed_groups:
-            pairs = itertools.combinations(itertools.islice(decoded, len(group)), 2)
-            rows = _rows(rowsets[group[0]])
+            bits = rowsets[group[0]]
+            pairs = itertools.combinations(itertools.islice(decoded, len(group)) if bits else uncovered[: len(group)], 2)
+            rows = _rows(bits)
             collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, listed - len(collisions)))
 
     is_covering = not uncovered

@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+import errno
 import io
+import os
 import subprocess
 import sys
 
 import pytest
 
+import locaray.model
 from locaray import AnnealParams, SearchBudget, cli, format_array, load_array, verify
 from locaray.cli import EXIT_CAPACITY, EXIT_NO_ARRAY, EXIT_NOT_LOCATING, EXIT_OK, EXIT_USAGE, load_suite, main
 
@@ -30,6 +33,27 @@ def no_search(monkeypatch):
 
     monkeypatch.setattr(cli, "parallel_construct", refuse)
     monkeypatch.setattr(cli, "construct_runs", refuse)
+
+
+class _FullFile(io.StringIO):
+    """A file on a full disk: opening works, every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Paths added to the returned set open for writing as ``_FullFile``s,
+    in the CLI and in the model's ``save_array``."""
+    full = set()
+
+    def fake_open(path, *args, **kwargs):
+        return _FullFile() if str(path) in full else open(path, *args, **kwargs)
+
+    for module in (cli, locaray.model):
+        monkeypatch.setattr(module, "open", fake_open, raising=False)
+    return full
 
 
 @pytest.fixture
@@ -99,6 +123,16 @@ def test_generate_unwritable_out_fails_before_the_search(capsys, tmp_path, no_se
     assert code == EXIT_USAGE
     assert out == ""
     assert f"cannot write {out_path}" in err
+
+
+def test_generate_write_failing_after_the_search_is_usage_error(capsys, tmp_path, full_disk):
+    # exit 1 means "not locating"; a lost result must not read as that
+    out_path = str(tmp_path / "la.txt")
+    full_disk.add(out_path)
+    code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", "--seed", "1", "--out", out_path)
+    assert code == EXIT_USAGE
+    assert out.endswith("\nrows=6\n")
+    assert err == f"cannot write {out_path}: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_generate_missing_model_is_usage_error(capsys):
@@ -486,6 +520,21 @@ def test_bench_unwritable_out_or_log_fails_before_the_search(capsys, tmp_path, n
     assert out == ""
     assert f"cannot write {paths[flag]}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_bench_write_failure_is_usage_error_naming_the_file(capsys, tmp_path, full_disk, flag):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("tiny,2^3\n")
+    paths = {"--out": str(tmp_path / "bench.csv"), "--log": str(tmp_path / "bench.log")}
+    full_disk.add(paths[flag])
+    argv = ["bench", "--suite", str(suite), "--runs", "1", "--timeout", "60"]
+    for name, path in paths.items():
+        argv += [name, path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"cannot write {paths[flag]}: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_bench_pool_is_capped_at_cpu_count_and_runs_every_seed(capsys, tmp_path, inline_pools):

@@ -11,7 +11,6 @@ from locaray import (
     SutModel,
     TestArray,
     construct,
-    cost,
     parse_model,
     rho,
     verify,
@@ -282,11 +281,10 @@ def test_capacity_env_rejects_malformed_budget(printer_covering, monkeypatch, te
 
 def test_capacity_constant_bounds_measured_footprint():
     # the guard's per-interaction estimate must not undershoot the real
-    # index, counted with the tables a construct's first build allocates
+    # index, counted with the catalog and tables a construct's first build allocates
     for spec, t in (("2^40 3^10", 2), ("2^10 3^2", 3)):
         arr = random_array(parse_model(spec), 33, random.Random(1))
         build_index(arr, t)  # first build pays one-off allocations outside the index
-        cost._tables.cache_clear()
         enumerate_interactions.cache_clear()
         tracemalloc.start()
         try:
@@ -297,22 +295,23 @@ def test_capacity_constant_bounds_measured_footprint():
         assert size / len(index.catalog) <= _BYTES_PER_INTERACTION
 
 
-# --- tables shared across the probes of a construct ------------------------------
+# --- one (model, t) cache: the catalog and its partner tables ---------------------
 
 
 @pytest.fixture
 def catalog_builds(monkeypatch):
-    """Models whose catalog ``locaray.cost`` built, one entry per build."""
+    """(model, t) of every ``InteractionCatalog`` constructed, in order."""
     built = []
 
-    def counting(model, t):
-        built.append((model, t))
-        return enumerate_interactions(model, t)
+    class CountingCatalog(InteractionCatalog):
+        def __init__(self, model, t):
+            built.append((model, t))
+            super().__init__(model, t)
 
-    cost._tables.cache_clear()
-    monkeypatch.setattr(cost, "enumerate_interactions", counting)
+    enumerate_interactions.cache_clear()
+    monkeypatch.setattr("locaray.model.InteractionCatalog", CountingCatalog)
     yield built
-    cost._tables.cache_clear()
+    enumerate_interactions.cache_clear()
 
 
 def test_one_construct_builds_its_tables_once(catalog_builds):
@@ -324,7 +323,8 @@ def test_one_construct_builds_its_tables_once(catalog_builds):
 
 def test_each_model_and_strength_gets_its_own_tables(catalog_builds, printer_covering):
     first = build_index(printer_covering, 2)
-    assert build_index(printer_covering, 2).catalog is first.catalog
+    again = build_index(printer_covering, 2)
+    assert again.catalog is first.catalog and again._partners is first._partners
     assert type(first.catalog.combos) is tuple and type(first.catalog.offsets) is tuple
     other = build_index(TestArray(SutModel((3, 3, 2)), [[0, 1, 1]]), 2)
     assert other.catalog.model == SutModel((3, 3, 2)) and len(other.catalog) == 21
@@ -333,27 +333,34 @@ def test_each_model_and_strength_gets_its_own_tables(catalog_builds, printer_cov
     assert catalog_builds == [(printer_covering.model, 2), (SutModel((3, 3, 2)), 2), (printer_covering.model, 1)]
 
 
-def test_construct_and_verify_share_one_catalog(monkeypatch):
-    built = []
+def test_construct_and_verify_share_one_catalog(catalog_builds):
+    sut = SutModel((2, 2, 2, 3))
+    result = construct(sut, 2, budget=SearchBudget(timeout=60, seed=1))
+    # neither array locates, so both reports decode interactions
+    assert not verify(TestArray(sut, []), 2).is_covering
+    assert not verify(TestArray(sut, result.array.rows[:2]), 2).is_locating_1bar
+    assert catalog_builds == [(sut, 2)]
 
-    class CountingCatalog(InteractionCatalog):
-        def __init__(self, sut, t):
-            built.append((sut, t))
-            super().__init__(sut, t)
 
-    cost._tables.cache_clear()
-    enumerate_interactions.cache_clear()
-    monkeypatch.setattr("locaray.model.InteractionCatalog", CountingCatalog)
-    try:
-        sut = SutModel((2, 2, 2, 3))
-        result = construct(sut, 2, budget=SearchBudget(timeout=60, seed=1))
-        # neither array locates, so both reports decode interactions
-        assert not verify(TestArray(sut, []), 2).is_covering
-        assert not verify(TestArray(sut, result.array.rows[:2]), 2).is_locating_1bar
-        assert built == [(sut, 2)]
-    finally:
-        cost._tables.cache_clear()
-        enumerate_interactions.cache_clear()
+def test_an_index_takes_the_cached_catalog_after_verify_switched_models(catalog_builds):
+    # two caches of size one, for the index's tables and for the catalog,
+    # drifted apart here: the index kept the first catalog of A alive
+    a, b = TestArray(SutModel((2, 2, 2)), []), TestArray(SutModel((3, 3)), [])
+    build_index(a, 2)
+    assert not verify(b, 2).is_covering
+    assert not verify(a, 2).is_covering  # both reports decode
+    index = build_index(a, 2)
+    assert index.catalog is enumerate_interactions(a.model, 2)
+    assert index._partners is index.catalog.partners
+    assert catalog_builds == [(a.model, 2), (b.model, 2), (a.model, 2)]
+
+
+def test_verify_alone_never_builds_the_partner_tables(catalog_builds):
+    array = TestArray(SutModel((2, 2, 2)), [[0, 0, 0]])
+    assert not verify(array, 2).is_covering
+    catalog = enumerate_interactions(array.model, 2)
+    assert catalog_builds == [(array.model, 2)]
+    assert "partners" not in vars(catalog)
 
 
 # --- the prefix walk of the row-set kernel ----------------------------------------

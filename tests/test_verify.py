@@ -14,7 +14,7 @@ from locaray import (
     rho,
     verify,
 )
-from locaray.model import enumerate_interactions, random_array
+from locaray.model import InteractionCatalog, enumerate_interactions, random_array
 from locaray.verify import DEFAULT_COLLISION_PAIRS
 from tests.literal_oracle import literal_locate_fault, literal_verify
 
@@ -145,6 +145,25 @@ def test_pairs_come_in_the_order_their_row_sets_first_occur(cap):
     assert report.collisions == expected[:cap]
     assert report.collision_count == 4
     assert report.uncovered == [one(0, 1), one(3, 1)]
+
+
+def test_each_listed_tid_is_decoded_once(monkeypatch):
+    # the uncovered interactions of two all-zero rows share the empty row set,
+    # whose group the pair list reaches: its members are the uncovered ones
+    decoded = []
+    batch_decode = InteractionCatalog.interactions_at
+
+    def counting(self, tids):
+        decoded.extend(tids)
+        return batch_decode(self, tids)
+
+    monkeypatch.setattr(InteractionCatalog, "interactions_at", counting)
+    array = TestArray(SutModel((2, 2, 2)), [[0, 0, 0], [0, 0, 0]])
+    report = verify(array, 2, max_collision_pairs=20)
+    assert any(rows == frozenset() for _, _, rows in report.collisions)
+    assert len(report.uncovered) == 9
+    assert report == literal_verify(array, 2, max_collision_pairs=20)
+    assert len(decoded) == len(set(decoded))
 
 
 # --- fault localization -------------------------------------------------------
