@@ -1,20 +1,27 @@
 """Command-line front end: generate, verify, bound, locate, bench.
 
+Each command writes its report into one buffer, and ``main`` writes that
+buffer to stdout once, after the command has finished.  ``_Output`` is the
+one writer (stdout, ``generate --out``, ``bench``'s CSV and log) and
+``_read`` the one reader (``--array`` and ``--suite``).
+
 Exit codes: 0 success, 1 verification failed, 2 no array within the
-timeout, 3 interaction catalog over the memory budget, 64 usage error,
-including an output file that cannot be written, before or after the
-search.
+timeout, 3 interaction catalog over the memory budget, 64 usage error:
+a bad flag, model or environment value, an input file that cannot be read
+or decoded, ``bench --out`` and ``--log`` naming one file, or an output,
+stdout included, that cannot be written, before or after the search.
 """
 
 import argparse
 import contextlib
 import csv
+import io
 import os
 import sys
 from importlib import resources
 
 from .anneal import AnnealParams, STRATEGIES
-from .model import CapacityError, ModelParseError, check_capacity, load_array, parse_model, save_array, format_array
+from .model import CapacityError, ModelParseError, check_capacity, check_strength, format_array, parse_array, parse_model
 from .search import SearchBudget, construct_runs, derive_seed, initial_bounds, parallel_construct
 from .verify import verify, locate_fault
 
@@ -91,25 +98,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_checked(make, *args, **kwargs):
-    """``make(*args, **kwargs)``, with a ValueError from a bad flag or
-    environment value turned into a usage error."""
+@contextlib.contextmanager
+def _usage(where: str = ""):
+    """A ValueError from a bad flag, environment value or input, raised in
+    the ``with`` body, becomes a usage error prefixed by ``where``."""
     try:
-        return make(*args, **kwargs)
+        yield
     except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise _UsageError(f"{where}{exc}") from None
 
 
-def _check_run_flags(args) -> None:
-    """--workers, shared by generate and bench, checked before any search."""
-    if not 1 <= args.workers <= MAX_RUNS:
-        raise _UsageError(f"--workers must lie in 1..{MAX_RUNS}")
-
-
-def _check_strength(t: int, model, where: str = "") -> None:
-    """Usage error unless strength ``t`` lies in 1..k; ``where`` prefixes the message."""
-    if not 1 <= t <= model.k:
-        raise _UsageError(f"{where}strength must lie in 1..{model.k}")
+def _check_count(flag: str, value: int) -> None:
+    """--workers and bench --runs, checked before any search."""
+    if not 1 <= value <= MAX_RUNS:
+        raise _UsageError(f"{flag} must lie in 1..{MAX_RUNS}")
 
 
 def _check_catalogs(t: int, models) -> None:
@@ -118,9 +120,11 @@ def _check_catalogs(t: int, models) -> None:
     each, so an over-budget catalog exits 3 from this process, after every
     usage error and before any work."""
     for where, model in models:
-        _check_strength(t, model, where)
+        with _usage(where):
+            check_strength(model, t)
     for _, model in models:
-        _usage_checked(check_capacity, model, t)
+        with _usage():
+            check_capacity(model, t)
 
 
 def _check_writable(path: str) -> None:
@@ -131,137 +135,135 @@ def _check_writable(path: str) -> None:
         raise _UsageError(f"cannot write {path}")
 
 
-def _write_checked(path: str, action, *args, **kwargs):
-    """``action(*args, **kwargs)``, with an OSError turned into the usage
-    error ``_check_writable`` gives, naming ``path``, so a write that fails
-    after the search exits 64, not 1."""
-    try:
-        return action(*args, **kwargs)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from None
-
-
 class _Output(contextlib.AbstractContextManager):
-    """``bench``'s CSV or log: the file at ``path`` opened for writing, or
-    stdout when ``path`` is None.  Every write is flushed.  The open, each
-    write and flush, and the close go through ``_write_checked``; the close
-    too, since after a failed write it fails again on what is still
-    buffered."""
+    """The one writer: the file at ``path`` opened for writing, or
+    ``stream`` when ``path`` is None.  Every write is flushed.  An OSError
+    from the open, a write or flush, or the close (which, after a failed
+    write, fails again on what is still buffered) is the usage error
+    ``cannot write PATH: reason``, PATH being ``stdout`` for a stream.
 
-    def __init__(self, path: str | None):
-        self.path = path or "stdout"
-        self.fh = _write_checked(self.path, open, path, "w", newline="") if path else sys.stdout
+    After a failed write to ``sys.stdout``, fd 1 is pointed at
+    ``os.devnull``, so interpreter shutdown does not flush the kept buffer
+    again and exit 120; a stand-in stdout without an fd is left as it is."""
+
+    def __init__(self, path: str | None, stream=None):
+        self.path, self.stream, self.fh = path or "stdout", stream, stream
+        if path:
+            self.fh = self._checked(open, path, "w", newline="")
+
+    def _checked(self, action, *args, **kwargs):
+        try:
+            return action(*args, **kwargs)
+        except OSError as exc:
+            if self.fh is sys.stdout:
+                with contextlib.suppress(OSError, ValueError):
+                    fd = sys.stdout.fileno()
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            raise _UsageError(f"cannot write {self.path}: {exc}") from None
 
     def write(self, text: str) -> None:
-        _write_checked(self.path, self.fh.write, text)
-        _write_checked(self.path, self.fh.flush)
+        self._checked(self.fh.write, text)
+        self._checked(self.fh.flush)
 
     def __exit__(self, *exc) -> None:
-        if self.fh is not sys.stdout:
-            _write_checked(self.path, self.fh.close)
+        if self.fh is not self.stream:
+            self._checked(self.fh.close)
 
 
-def _params_from(args) -> AnnealParams:
-    return _usage_checked(
-        AnnealParams,
-        weight=args.weight,
-        t_init=args.t_init,
-        k_max=args.k_max,
-        cooling=args.cooling,
-        strategy=args.strategy,
-    )
-
-
-def _load(path):
+def _read(path: str, what: str = "") -> str:
+    """The one reader, of ``--array`` and ``--suite``: the UTF-8 text of
+    ``path``, with an OSError or an undecodable byte turned into the usage
+    error ``cannot read WHATPATH: reason``."""
     try:
-        return load_array(path)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
-    except ValueError as exc:
-        raise _UsageError(f"bad array file {path}: {exc}")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {what}{path}: {exc}") from None
 
 
-def cmd_generate(args) -> int:
+def _load(path: str):
+    with _usage(f"bad array file {path}: "):
+        return parse_array(_read(path))
+
+
+def cmd_generate(args, out) -> int:
     model = parse_model(args.model)
-    _check_run_flags(args)
+    _check_count("--workers", args.workers)
     if args.out:
         _check_writable(args.out)
-    params = _params_from(args)
-    budget = _usage_checked(SearchBudget, max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
+    with _usage():
+        params = AnnealParams(weight=args.weight, t_init=args.t_init, k_max=args.k_max, cooling=args.cooling, strategy=args.strategy)
+        budget = SearchBudget(max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
     _check_catalogs(args.strength, [("", model)])
     result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
-    print(f"model={model.spec_text()}")
-    print(f"strength={args.strength}")
-    print(f"seed={args.seed}")
-    print(f"strategy={params.strategy}")
-    print(f"weight={params.weight}")
-    print(f"t_init={params.t_init}")
-    print(f"k_max={params.k_max}")
-    print(f"cooling={params.cooling}")
-    print(f"max_retries={budget.max_retries}")
-    print(f"workers={args.workers}")
-    print(f"elapsed_s={result.elapsed:.1f}")
-    print(f"timed_out={'true' if result.timed_out else 'false'}")
+    print(f"model={model.spec_text()}", file=out)
+    print(f"strength={args.strength}", file=out)
+    print(f"seed={args.seed}", file=out)
+    print(f"strategy={params.strategy}", file=out)
+    print(f"weight={params.weight}", file=out)
+    print(f"t_init={params.t_init}", file=out)
+    print(f"k_max={params.k_max}", file=out)
+    print(f"cooling={params.cooling}", file=out)
+    print(f"max_retries={budget.max_retries}", file=out)
+    print(f"workers={args.workers}", file=out)
+    print(f"elapsed_s={result.elapsed:.1f}", file=out)
+    print(f"timed_out={'true' if result.timed_out else 'false'}", file=out)
     if result.array is None:
-        print("rows=none")
+        print("rows=none", file=out)
         return EXIT_NO_ARRAY
-    print(f"rows={result.rows}")
+    print(f"rows={result.rows}", file=out)
+    with _Output(args.out, out) as fh:
+        fh.write(format_array(result.array, args.strength))
     if args.out:
-        _write_checked(args.out, save_array, result.array, args.strength, args.out)
-        print(f"out={args.out}")
-    else:
-        sys.stdout.write(format_array(result.array, args.strength))
+        print(f"out={args.out}", file=out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
     _check_catalogs(t, [("", array.model)])
     report = verify(array, t, max_collision_pairs=SHOWN)
-    print(f"model={array.model.spec_text()}")
-    print(f"rows={array.m}")
-    print(f"strength={t}")
-    print(f"is_covering={'true' if report.is_covering else 'false'}")
-    print(f"is_locating_exact1={'true' if report.is_locating_exact1 else 'false'}")
-    print(f"is_locating_1bar={'true' if report.is_locating_1bar else 'false'}")
-    print(f"uncovered_count={len(report.uncovered)}")
-    print(f"collision_count={report.collision_count}")
+    print(f"model={array.model.spec_text()}", file=out)
+    print(f"rows={array.m}", file=out)
+    print(f"strength={t}", file=out)
+    print(f"is_covering={'true' if report.is_covering else 'false'}", file=out)
+    print(f"is_locating_exact1={'true' if report.is_locating_exact1 else 'false'}", file=out)
+    print(f"is_locating_1bar={'true' if report.is_locating_1bar else 'false'}", file=out)
+    print(f"uncovered_count={len(report.uncovered)}", file=out)
+    print(f"collision_count={report.collision_count}", file=out)
     if report.is_locating_1bar:
-        print(f"# OK: every strength-{t} interaction is covered and all covering row sets are distinct")
+        print(f"# OK: every strength-{t} interaction is covered and all covering row sets are distinct", file=out)
     else:
         if report.uncovered:
             shown = report.uncovered[:SHOWN]
-            print(f"# {len(report.uncovered)} uncovered interactions, first {len(shown)}:")
+            print(f"# {len(report.uncovered)} uncovered interactions, first {len(shown)}:", file=out)
             for interaction in shown:
-                print(f"#   uncovered {interaction}")
+                print(f"#   uncovered {interaction}", file=out)
         if report.collision_count:
-            print(f"# {report.collision_count} colliding pairs, first {len(report.collisions)}:")
+            print(f"# {report.collision_count} colliding pairs, first {len(report.collisions)}:", file=out)
             for a, b, rows in report.collisions:
-                print(f"#   {a} ~ {b} rows={{{','.join(str(r) for r in sorted(rows))}}}")
+                print(f"#   {a} ~ {b} rows={{{','.join(str(r) for r in sorted(rows))}}}", file=out)
     return EXIT_OK if report.is_locating_1bar else EXIT_NOT_LOCATING
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args, out) -> int:
     model = parse_model(args.model)
-    _check_strength(args.strength, model)
-    low, high = initial_bounds(model, args.strength)
-    print(f"low={low} high={high}")
+    with _usage():
+        low, high = initial_bounds(model, args.strength)
+    print(f"low={low} high={high}", file=out)
     return EXIT_OK
 
 
-def cmd_locate(args) -> int:
+def cmd_locate(args, out) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
-    _check_strength(t, array.model)
-    try:
+    with _usage():
         failing = frozenset(int(x) for x in args.failing.split(",") if x.strip())
         hits = locate_fault(array, failing, t)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    print(f"candidates={len(hits)}")
+    print(f"candidates={len(hits)}", file=out)
     for interaction in hits:
-        print(str(interaction))
+        print(str(interaction), file=out)
     return EXIT_OK
 
 
@@ -279,42 +281,36 @@ def load_suite(text: str) -> list[tuple[str, str]]:
         name, sep, spec = line.partition(",")
         if not sep or not name.strip() or not spec.strip():
             raise ValueError(f"suite line {lineno}: expected 'name,model', got {raw!r}")
-        parse_model(spec)  # validate early
         entries.append((name.strip(), spec.strip()))
     return entries
 
 
-def cmd_bench(args) -> int:
-    if args.suite:
-        try:
-            with open(args.suite) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read suite {args.suite}: {exc}")
-    else:
-        text = _bundled_suite_text()
-    entries = _usage_checked(load_suite, text)
+def cmd_bench(args, out) -> int:
+    text = _read(args.suite, "suite ") if args.suite else _bundled_suite_text()
+    with _usage():
+        entries = [(name, spec, parse_model(spec)) for name, spec in load_suite(text)]
     if not entries:
         raise _UsageError("the suite lists no instances")
-    if not 1 <= args.runs <= MAX_RUNS:
-        raise _UsageError(f"--runs must lie in 1..{MAX_RUNS}")
-    _check_run_flags(args)
-    _usage_checked(SearchBudget, timeout=args.timeout)
+    _check_count("--runs", args.runs)
+    _check_count("--workers", args.workers)
+    with _usage():
+        SearchBudget(timeout=args.timeout)
     log_path = args.log or (f"{args.out}.log" if args.out else "bench.log")
+    if args.out and os.path.realpath(args.out) == os.path.realpath(log_path):
+        raise _UsageError(f"--out and --log name the same file {args.out}")
     for path in filter(None, (args.out, log_path)):
         _check_writable(path)
-    _check_catalogs(args.strength, [(f"suite instance {name}: ", parse_model(spec)) for name, spec in entries])
+    _check_catalogs(args.strength, [(f"suite instance {name}: ", model) for name, _, model in entries])
 
-    with _Output(args.out) as out_fh, _Output(log_path) as log:
-        writer = csv.writer(out_fh, lineterminator="\n")
+    with _Output(args.out, out) as table, _Output(log_path) as log:
+        writer = csv.writer(table, lineterminator="\n")
         writer.writerow(["name", "model", "x", "y", "runs", "mean_time_s", "mean_rows", "min_rows"])
-        for name, spec in entries:
-            writer.writerow(_bench_instance(name, spec, args, log))
+        for name, spec, model in entries:
+            writer.writerow(_bench_instance(name, spec, model, args, log))
     return EXIT_OK
 
 
-def _bench_instance(name, spec, args, log) -> list:
-    model = parse_model(spec)
+def _bench_instance(name, spec, model, args, log) -> list:
     budgets = [
         SearchBudget(timeout=args.timeout, seed=derive_seed(args.seed, f"{name}:{r}")) for r in range(args.runs)
     ]
@@ -343,18 +339,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    report = io.StringIO()  # written to stdout once, after the command
     try:
-        return args.run(args)
+        code = args.run(args, report)
     except ModelParseError as exc:
         print(f"bad model: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    except _UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        code = EXIT_USAGE
+    except CapacityError as exc:
+        print(f"capacity: {exc}", file=sys.stderr)
+        print(f"interactions={exc.n_interactions}", file=report)
+        code = EXIT_CAPACITY
+    try:
+        if report.tell():  # even an empty write fails on a full device
+            with _Output(None, sys.stdout) as stdout:
+                stdout.write(report.getvalue())
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        print(f"interactions={exc.n_interactions}")
-        return EXIT_CAPACITY
+    return code
 
 
 def run() -> None:

@@ -35,9 +35,10 @@ before anything of that size is built.
 
 ``check_capacity`` is the one gate in front of every structure that holds
 a row set per interaction, the coverage index and ``verify``: it checks
-the strength (1..k, through ``check_strength``, which ``locate_fault``
-also uses) and compares |I_t| with the memory budget, 512 MiB unless
-``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.
+the strength (1..k, through ``check_strength``, the one 1..k check on a
+model, which ``locate_fault`` and the CLI also use) and compares |I_t|
+with the memory budget, 512 MiB unless ``LOCARAY_MEM_BUDGET_MB`` says
+otherwise, raising ``CapacityError``.
 |I_t| is memoized for the last (model, t), but the budget is read on every
 call, so a lowered budget still refuses.  The CLI calls it too, in its own
 process before any file, pool or search, and so does
@@ -303,9 +304,9 @@ class CapacityError(Exception):
 
 
 def check_strength(model: SutModel, t: int) -> None:
-    """Raise ValueError unless strength ``t`` lies in 1..k."""
+    """Raise ValueError unless strength ``t`` lies in 1..k; the CLI prints its message as it is."""
     if not 1 <= t <= model.k:
-        raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
+        raise ValueError(f"strength must lie in 1..{model.k}")
 
 
 def check_capacity(model: SutModel, t: int) -> None:

@@ -40,7 +40,7 @@ def tang_lower_bound(k: int, t: int, v: int) -> int:
     the least integer z with 2z + 2C + 3 >= ceil(sqrt(D)) = 1 + isqrt(D - 1).
     """
     if not 1 <= t <= k:
-        raise ValueError(f"strength {t} out of range for k={k}")
+        raise ValueError(f"strength must lie in 1..{k}")
     if v < 2:
         raise ValueError("domain size must be at least 2")
     c = math.comb(k, t)

@@ -44,16 +44,17 @@ class _FullFile(io.StringIO):
 
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Paths added to the returned set open for writing as ``_FullFile``s,
-    in the CLI and in the model's ``save_array``."""
+    """Paths added to the returned set open for writing in the CLI as ``_FullFile``s."""
     full = set()
 
     def fake_open(path, *args, **kwargs):
         return _FullFile() if str(path) in full else open(path, *args, **kwargs)
 
-    for module in (cli, locaray.model):
-        monkeypatch.setattr(module, "open", fake_open, raising=False)
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
     return full
+
+
+STDOUT_FULL = f"cannot write stdout: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.fixture
@@ -133,6 +134,20 @@ def test_generate_write_failing_after_the_search_is_usage_error(capsys, tmp_path
     assert code == EXIT_USAGE
     assert out.endswith("\nrows=6\n")
     assert err == f"cannot write {out_path}: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_generate_open_failing_after_the_search_is_usage_error(capsys, tmp_path, monkeypatch):
+    # the directory can go away while the search runs
+    out_path = str(tmp_path / "la.txt")
+
+    def refuse(path, *args, **kwargs):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run_cli(capsys, "generate", "--model", "2^3", "--strength", "2", "--seed", "1", "--out", out_path)
+    assert code == EXIT_USAGE
+    assert out.endswith("\nrows=6\n")
+    assert err == f"cannot write {out_path}: [Errno 2] {os.strerror(errno.ENOENT)}: '{out_path}'\n"
 
 
 def test_generate_missing_model_is_usage_error(capsys):
@@ -583,6 +598,45 @@ def test_bench_rejects_missing_suite(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_bench_rejects_an_undecodable_suite(capsys, tmp_path, no_search):
+    suite = tmp_path / "suite.txt"
+    suite.write_bytes(b"tiny,2^3\n\xff\n")
+    code, out, err = run_cli(capsys, "bench", "--suite", str(suite), "--log", str(tmp_path / "bench.log"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"cannot read suite {suite}: 'utf-8' codec can't decode byte 0xff")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
+
+
+@pytest.mark.parametrize("log", ["bench.csv", "./bench.csv"], ids=["same-text", "same-file"])
+def test_bench_out_and_log_naming_one_file_is_usage_error(capsys, tmp_path, no_search, log):
+    # both would open the file for writing, and the log lines would overwrite the CSV rows
+    suite = tmp_path / "suite.txt"
+    suite.write_text("tiny,2^3\n")
+    out_csv = str(tmp_path / "bench.csv")
+    code, out, err = run_cli(capsys, "bench", "--suite", str(suite), "--runs", "1", "--out", out_csv, "--log", os.path.join(tmp_path, log))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"--out and --log name the same file {out_csv}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
+
+
+def test_bench_parses_each_suite_model_once(capsys, tmp_path, monkeypatch):
+    specs = []
+
+    def counting_parse(spec):
+        specs.append(spec)
+        return locaray.model.parse_model(spec)
+
+    monkeypatch.setattr(cli, "parse_model", counting_parse)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("one,2^2\ntwo,2^3\n")
+    code, out, _ = run_cli(capsys, "bench", "--suite", str(suite), "--runs", "1", "--timeout", "60", "--log", str(tmp_path / "bench.log"))
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 3
+    assert specs == ["2^2", "2^3"]
+
+
 def test_suite_parse_errors():
     with pytest.raises(ValueError):
         load_suite("just-a-name\n")
@@ -621,6 +675,83 @@ def test_bench_help_shows_every_library_default(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+# --- stdout ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bound --model 2^3 --strength 2",
+        "generate --model 2^3 --strength 2 --seed 1 --timeout 60",
+        "verify --array COVERING",
+        "locate --array PRINTER --failing 4,5,10",
+        "bench --suite SUITE --runs 1 --timeout 60 --log LOG",
+    ],
+    ids=["bound", "generate", "verify", "locate", "bench"],
+)
+def test_a_failed_stdout_write_is_usage_error(capsys, monkeypatch, tmp_path, printer_file, covering_file, argv):
+    # exit 1 from verify means "not locating"; a lost report must not read as that
+    suite = tmp_path / "suite.txt"
+    suite.write_text("tiny,2^3\n")
+    paths = {"PRINTER": printer_file, "COVERING": covering_file, "SUITE": str(suite), "LOG": str(tmp_path / "bench.log")}
+    monkeypatch.setattr(sys, "stdout", _FullFile())
+    code = main([paths.get(word, word) for word in argv.split()])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == STDOUT_FULL
+
+
+def test_a_failed_stdout_write_after_a_capacity_error_is_usage_error(capsys, monkeypatch, printer_file):
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    monkeypatch.setattr(sys, "stdout", _FullFile())
+    code = main(["verify", "--array", printer_file])
+    assert code == EXIT_USAGE
+    first, second = capsys.readouterr().err.splitlines(keepends=True)
+    assert first.startswith("capacity: ")
+    assert second == STDOUT_FULL
+
+
+def test_a_usage_error_leaves_stdout_untouched(capsys, monkeypatch, tmp_path):
+    # even an empty write fails on a full device; the usage error stays the one line
+    suite = tmp_path / "empty.txt"
+    suite.write_text("# nothing here\n")
+    monkeypatch.setattr(sys, "stdout", _FullFile())
+    assert main(["bench", "--suite", str(suite)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "the suite lists no instances\n"
+
+
+class _PipeClosedAfterOneWrite(io.StringIO):
+    """A pipe whose reader leaves after the first write."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+
+def test_verify_writes_its_report_once(capsys, monkeypatch, covering_file):
+    # `locaray verify ... | head -1` must exit with verify's own code
+    pipe = _PipeClosedAfterOneWrite()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(["verify", "--array", covering_file])
+    assert code == EXIT_NOT_LOCATING
+    assert capsys.readouterr().err == ""
+    assert pipe.getvalue().startswith("model=2^3 3\nrows=6\n")
+    assert pipe.getvalue().endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [["bound", "--model", "2^4", "--strength", "2"], ["verify", "--array", "COVERING"]], ids=["bound", "verify"])
+def test_stdout_on_a_full_device_exits_64_with_one_line(covering_file, argv):
+    # block-buffered stdout, as in most shells: interpreter shutdown must not
+    # flush the failed buffer again (that exits 120)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = [covering_file if word == "COVERING" else word for word in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "locaray.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == STDOUT_FULL
 
 
 def test_console_script_smoke():
