@@ -45,12 +45,25 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; --help on stdout goes through the checked writer
+        if message and file is sys.stdout:
+            with _Output(None, file) as out:
+                out.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _add_run_flags(p, budget: SearchBudget):
     """--timeout, --seed and --workers, shared by generate and bench."""
     p.add_argument("--timeout", type=float, default=budget.timeout, help="wall-clock budget in seconds per run (default %(default)s)")
     p.add_argument("--seed", type=int, default=budget.seed, help="root RNG seed (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1, help=f"processes for independent runs, at most {MAX_RUNS} (default %(default)s)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help=f"independent runs, at most {MAX_RUNS}, in at most as many processes as CPUs this process may use (default %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,6 +352,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    except _UsageError as exc:  # --help that stdout cannot take
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     report = io.StringIO()  # written to stdout once, after the command
     try:
         code = args.run(args, report)

@@ -8,7 +8,6 @@ search; the smallest array found so far is the result.  ``construct_runs``
 runs independent restarts, in this process or in a process pool.
 """
 
-import hashlib
 import math
 import os
 import time
@@ -17,13 +16,28 @@ from functools import partial
 from random import Random
 from typing import NamedTuple
 
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .anneal import AnnealParams, sa_run
 from .model import SutModel, TestArray, check_capacity
 
 
 def derive_seed(root: int, label: str) -> int:
-    """Deterministic 64-bit child seed for a labeled subtask of a root seed."""
-    digest = hashlib.sha256(f"{root}:{label}".encode()).digest()
+    """Deterministic 64-bit child seed for a labeled subtask of a root seed:
+    the first 8 bytes, big-endian, of the SHA-256 of ``"root:label"``.
+
+    SHA-256 comes from the interpreter's built-in module, as ``random``
+    takes its SHA-512, because ``hashlib`` loads OpenSSL's libcrypto, about
+    3.5 MB of resident memory in every process, for one short digest per
+    probe; ``hashlib`` is the fallback when no built-in module is compiled
+    in.  The digest is the same either way."""
+    digest = sha256(f"{root}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -205,15 +219,17 @@ def construct_runs(
     """One ``construct`` per budget, results in budget order.
 
     Runs in this process when ``workers <= 1``, otherwise in
-    min(workers, cpu count, number of budgets) processes.  Every budget runs
-    whatever the pool size, so a capped pool changes only the wall time,
-    never the results.  Raises what ``model.check_capacity`` raises, from
-    this process and before any pool starts.
+    min(workers, CPUs this process may use, number of budgets) processes.
+    Every budget runs whatever the pool size, so a capped pool changes only
+    the wall time, never the results.  Raises what ``model.check_capacity``
+    raises, from this process and before any pool starts.
     """
     check_capacity(model, t)
     if workers <= 1 or not budgets:
         return [construct(model, t, params, budget) for budget in budgets]
-    with _process_pool(min(workers, os.cpu_count() or 1, len(budgets))) as pool:
+    # the affinity mask, where os has one: under `taskset -c 0` it holds 1 CPU, whatever the host has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with _process_pool(min(workers, cpus, len(budgets))) as pool:
         return list(pool.map(partial(construct, model, t, params), budgets))
 
 
@@ -231,10 +247,10 @@ def parallel_construct(
     budget: SearchBudget | None = None,
     workers: int = 1,
 ) -> SearchResult:
-    """``workers`` independent restarts, run in at most cpu-count processes;
-    smallest verified-size result wins, ties broken toward the lowest worker
-    index.  Worker i runs a normal construct with child seed
-    derive_seed(seed, "worker:i")."""
+    """``workers`` independent restarts, run in at most as many processes
+    as there are CPUs this process may use; smallest verified-size result
+    wins, ties broken toward the lowest worker index.  Worker i runs a
+    normal construct with child seed derive_seed(seed, "worker:i")."""
     params = params or AnnealParams()
     budget = budget or SearchBudget()
     if workers <= 1:

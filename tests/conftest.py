@@ -69,7 +69,7 @@ class InlinePool:
 
 @pytest.fixture
 def inline_pools(monkeypatch):
-    """Every pool the search layer creates, in creation order; the host reports 2 CPUs."""
+    """Every pool the search layer creates, in creation order; this process may use 2 CPUs."""
     pools = []
 
     def make(max_workers):
@@ -77,5 +77,5 @@ def inline_pools(monkeypatch):
         return pools[-1]
 
     monkeypatch.setattr(locaray.search, "_process_pool", make)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pools

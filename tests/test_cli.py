@@ -688,8 +688,9 @@ def test_unknown_subcommand_is_usage_error(capsys):
         "verify --array COVERING",
         "locate --array PRINTER --failing 4,5,10",
         "bench --suite SUITE --runs 1 --timeout 60 --log LOG",
+        "generate --help",
     ],
-    ids=["bound", "generate", "verify", "locate", "bench"],
+    ids=["bound", "generate", "verify", "locate", "bench", "generate-help"],
 )
 def test_a_failed_stdout_write_is_usage_error(capsys, monkeypatch, tmp_path, printer_file, covering_file, argv):
     # exit 1 from verify means "not locating"; a lost report must not read as that
@@ -742,7 +743,11 @@ def test_verify_writes_its_report_once(capsys, monkeypatch, covering_file):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", [["bound", "--model", "2^4", "--strength", "2"], ["verify", "--array", "COVERING"]], ids=["bound", "verify"])
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--model", "2^4", "--strength", "2"], ["verify", "--array", "COVERING"], ["generate", "--help"]],
+    ids=["bound", "verify", "generate-help"],
+)
 def test_stdout_on_a_full_device_exits_64_with_one_line(covering_file, argv):
     # block-buffered stdout, as in most shells: interpreter shutdown must not
     # flush the failed buffer again (that exits 120)

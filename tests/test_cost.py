@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from locaray import (
+    AnnealParams,
     CapacityError,
     Interaction,
     SearchBudget,
@@ -16,7 +17,8 @@ from locaray import (
     verify,
 )
 from locaray.cost import _BYTES_PER_INTERACTION, apply_move, build_index, entry_move, overwrite_move, undo_move
-from locaray.model import InteractionCatalog, enumerate_interactions, random_array, row_sets
+from locaray.anneal import sa_run
+from locaray.model import InteractionCatalog, enumerate_interactions, interaction_count, random_array, row_sets
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -280,19 +282,24 @@ def test_capacity_env_rejects_malformed_budget(printer_covering, monkeypatch, te
 
 
 def test_capacity_constant_bounds_measured_footprint():
-    # the guard's per-interaction estimate must not undershoot the real
-    # index, counted with the catalog and tables a construct's first build allocates
+    # the guard's per-interaction estimate must not undershoot the running
+    # peak of an annealing run, counted with the catalog and tables its
+    # first build allocates: under churn, group sets never shrink and the
+    # group dict outgrows its live entries.  A quarter of the default
+    # iterations reaches 97-100% of a default run's peak in a quarter of the time.
+    params = AnnealParams(k_max=AnnealParams().k_max // 4)
     for spec, t in (("2^40 3^10", 2), ("2^10 3^2", 3)):
-        arr = random_array(parse_model(spec), 33, random.Random(1))
-        build_index(arr, t)  # first build pays one-off allocations outside the index
-        enumerate_interactions.cache_clear()
-        tracemalloc.start()
-        try:
-            index = build_index(arr, t)
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert size / len(index.catalog) <= _BYTES_PER_INTERACTION
+        model = parse_model(spec)
+        for m in (12, 20, 33):
+            build_index(random_array(model, m, random.Random(1)), t)  # one-off allocations outside the run
+            enumerate_interactions.cache_clear()
+            tracemalloc.start()
+            try:
+                sa_run(model, t, m, params, random.Random(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / interaction_count(model, t) <= _BYTES_PER_INTERACTION, (spec, m)
 
 
 # --- one (model, t) cache: the catalog and its partner tables ---------------------

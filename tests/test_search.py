@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -342,6 +343,30 @@ def test_seed_derivation_is_stable_and_distinct():
     assert derive_seed(1, "sa:0") != derive_seed(2, "sa:0")
 
 
+@pytest.mark.parametrize(
+    "root,label,seed",
+    [
+        (1, "sa:0", 720918855506850273),
+        (0, "worker:0", 3469345223930249725),
+        (-3, "sa:12", 6456466073737533999),
+        (7, "printer:4", 3467996485644836285),
+    ],
+)
+def test_seed_derivation_is_pinned(root, label, seed):
+    # every probe, worker and bench run seed, hence every golden array, rests on these
+    assert derive_seed(root, label) == seed
+
+
+def test_seed_derivation_matches_hashlib_sha256():
+    rng = random.Random(17)
+    alphabet = "ab:0123456789-_ éßΩ漢😀"
+    for _ in range(1000):
+        root = rng.randint(-(10**20), 10**20)
+        label = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        digest = hashlib.sha256(f"{root}:{label}".encode()).digest()
+        assert derive_seed(root, label) == int.from_bytes(digest[:8], "big")
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_retries=0)
@@ -377,12 +402,29 @@ def test_parallel_construct_caps_pool_at_cpu_count_and_keeps_results(inline_pool
     model = parse_model("2^3")
     budget = SearchBudget(timeout=60, seed=4)
     capped = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=5)
-    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     uncapped = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=5)
     assert [pool.max_workers for pool in inline_pools] == [2, 5]
     assert [len(pool.jobs) for pool in inline_pools] == [5, 5]
     assert capped.array == uncapped.array
     assert [(r.rows, r.success) for r in capped.history] == [(r.rows, r.success) for r in uncapped.history]
+
+
+def test_pool_is_sized_by_the_cpus_this_process_may_use(inline_pools, monkeypatch):
+    # under `taskset -c 0` the host still counts all its CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    search_module.parallel_construct(parse_model("2^3"), 2, AnnealParams(), SearchBudget(timeout=60, seed=4), workers=5)
+    assert [(pool.max_workers, len(pool.jobs)) for pool in inline_pools] == [(1, 5)]
+
+
+def test_pool_falls_back_to_the_cpu_count_without_an_affinity_mask(inline_pools, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    budgets = [SearchBudget(timeout=60, seed=seed) for seed in range(5)]
+    for count in (3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        search_module.construct_runs(parse_model("2^3"), 2, AnnealParams(), budgets, workers=5)
+    assert [pool.max_workers for pool in inline_pools] == [3, 1]
 
 
 def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monkeypatch):
@@ -430,3 +472,20 @@ def test_importing_locaray_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_locaray_loads_no_openssl():
+    # hashlib's OpenSSL backend adds about 3.5 MB to every process; -S keeps
+    # site hooks from loading it first
+    src = os.path.dirname(os.path.dirname(locaray.__file__))
+    code = (
+        "import sys, locaray, locaray.cli\n"
+        "array = locaray.construct(locaray.parse_model('2^4'), 2).array\n"
+        "assert locaray.verify(array, 2).is_locating_1bar\n"
+        "locaray.locate_fault(array, frozenset({1, 2}), 2)\n"
+        "assert locaray.cli.main(['bound', '--model', '2^4', '--strength', '2']) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
