@@ -1,15 +1,20 @@
 """Command-line front end: generate, verify, bound, locate, bench.
 
-Each command writes its report into one buffer, and ``main`` writes that
-buffer to stdout once, after the command has finished.  ``_Output`` is the
-one writer (stdout, ``generate --out``, ``bench``'s CSV and log) and
-``_read`` the one reader (``--array`` and ``--suite``).
+Commands print.  ``main`` runs the argument parser and the command inside
+one ``contextlib.redirect_stdout`` into a buffer, so ``--help`` and every
+report land there, and writes that buffer to stdout once, after the
+command has finished.  ``_Output`` is the one writer (that stdout write,
+``generate --out``, ``bench``'s CSV and log; files are UTF-8) and ``_read``
+the one reader (``--array`` and ``--suite``, UTF-8).  Every bad input
+raises ``_UsageError`` or goes through ``_usage``, and ``main`` prints it
+as one stderr line.
 
 Exit codes: 0 success, 1 verification failed, 2 no array within the
 timeout, 3 interaction catalog over the memory budget, 64 usage error:
 a bad flag, model or environment value, an input file that cannot be read
 or decoded, ``bench --out`` and ``--log`` naming one file, or an output,
-stdout included, that cannot be written, before or after the search.
+stdout included, that cannot be written or encoded, before or after the
+search.
 """
 
 import argparse
@@ -21,7 +26,7 @@ import sys
 from importlib import resources
 
 from .anneal import AnnealParams, STRATEGIES
-from .model import CapacityError, ModelParseError, check_capacity, check_strength, format_array, parse_array, parse_model
+from .model import CapacityError, check_capacity, check_strength, format_array, parse_array, parse_model
 from .search import SearchBudget, construct_runs, derive_seed, initial_bounds, parallel_construct
 from .verify import verify, locate_fault
 
@@ -44,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-    def _print_message(self, message, file=None):
-        # argparse drops a failed write; --help on stdout goes through the checked writer
-        if message and file is sys.stdout:
-            with _Output(None, file) as out:
-                out.write(message)
-        else:
-            super()._print_message(message, file)
 
 
 def _add_run_flags(p, budget: SearchBudget):
@@ -121,6 +118,13 @@ def _usage(where: str = ""):
         raise _UsageError(f"{where}{exc}") from None
 
 
+def _parse_model(spec: str, where: str = ""):
+    """Every model spec the CLI parses: a bad one is the usage error
+    ``WHEREbad model: reason``."""
+    with _usage(f"{where}bad model: "):
+        return parse_model(spec)
+
+
 def _check_count(flag: str, value: int) -> None:
     """--workers and bench --runs, checked before any search."""
     if not 1 <= value <= MAX_RUNS:
@@ -149,25 +153,26 @@ def _check_writable(path: str) -> None:
 
 
 class _Output(contextlib.AbstractContextManager):
-    """The one writer: the file at ``path`` opened for writing, or
-    ``stream`` when ``path`` is None.  Every write is flushed.  An OSError
-    from the open, a write or flush, or the close (which, after a failed
-    write, fails again on what is still buffered) is the usage error
-    ``cannot write PATH: reason``, PATH being ``stdout`` for a stream.
+    """The one writer: the file at ``path`` opened for writing as UTF-8, or
+    ``sys.stdout`` when ``path`` is None.  Every write is flushed.  Each
+    failure is the usage error ``cannot write PATH: reason``, PATH being
+    ``stdout`` for ``sys.stdout``: an OSError from the open, a write or
+    flush, or the close (which, after a failed write, fails again on what
+    is still buffered), and a UnicodeEncodeError from a stdout whose
+    encoding cannot take the text.
 
     After a failed write to ``sys.stdout``, fd 1 is pointed at
     ``os.devnull``, so interpreter shutdown does not flush the kept buffer
     again and exit 120; a stand-in stdout without an fd is left as it is."""
 
-    def __init__(self, path: str | None, stream=None):
-        self.path, self.stream, self.fh = path or "stdout", stream, stream
-        if path:
-            self.fh = self._checked(open, path, "w", newline="")
+    def __init__(self, path: str | None = None):
+        self.path, self.fh = path or "stdout", None  # _checked reads fh when the open fails
+        self.fh = self._checked(open, path, "w", encoding="utf-8", newline="") if path else sys.stdout
 
     def _checked(self, action, *args, **kwargs):
         try:
             return action(*args, **kwargs)
-        except OSError as exc:
+        except (OSError, UnicodeEncodeError) as exc:
             if self.fh is sys.stdout:
                 with contextlib.suppress(OSError, ValueError):
                     fd = sys.stdout.fileno()
@@ -179,7 +184,7 @@ class _Output(contextlib.AbstractContextManager):
         self._checked(self.fh.flush)
 
     def __exit__(self, *exc) -> None:
-        if self.fh is not self.stream:
+        if self.fh is not sys.stdout:
             self._checked(self.fh.close)
 
 
@@ -199,8 +204,8 @@ def _load(path: str):
         return parse_array(_read(path))
 
 
-def cmd_generate(args, out) -> int:
-    model = parse_model(args.model)
+def cmd_generate(args) -> int:
+    model = _parse_model(args.model)
     _check_count("--workers", args.workers)
     if args.out:
         _check_writable(args.out)
@@ -209,79 +214,80 @@ def cmd_generate(args, out) -> int:
         budget = SearchBudget(max_retries=args.max_retries, timeout=args.timeout, seed=args.seed)
     _check_catalogs(args.strength, [("", model)])
     result = parallel_construct(model, args.strength, params, budget, workers=args.workers)
-    print(f"model={model.spec_text()}", file=out)
-    print(f"strength={args.strength}", file=out)
-    print(f"seed={args.seed}", file=out)
-    print(f"strategy={params.strategy}", file=out)
-    print(f"weight={params.weight}", file=out)
-    print(f"t_init={params.t_init}", file=out)
-    print(f"k_max={params.k_max}", file=out)
-    print(f"cooling={params.cooling}", file=out)
-    print(f"max_retries={budget.max_retries}", file=out)
-    print(f"workers={args.workers}", file=out)
-    print(f"elapsed_s={result.elapsed:.1f}", file=out)
-    print(f"timed_out={'true' if result.timed_out else 'false'}", file=out)
+    print(f"model={model.spec_text()}")
+    print(f"strength={args.strength}")
+    print(f"seed={args.seed}")
+    print(f"strategy={params.strategy}")
+    print(f"weight={params.weight}")
+    print(f"t_init={params.t_init}")
+    print(f"k_max={params.k_max}")
+    print(f"cooling={params.cooling}")
+    print(f"max_retries={budget.max_retries}")
+    print(f"workers={args.workers}")
+    print(f"elapsed_s={result.elapsed:.1f}")
+    print(f"timed_out={'true' if result.timed_out else 'false'}")
     if result.array is None:
-        print("rows=none", file=out)
+        print("rows=none")
         return EXIT_NO_ARRAY
-    print(f"rows={result.rows}", file=out)
-    with _Output(args.out, out) as fh:
+    print(f"rows={result.rows}")
+    with _Output(args.out) as fh:
         fh.write(format_array(result.array, args.strength))
     if args.out:
-        print(f"out={args.out}", file=out)
+        print(f"out={args.out}")
     return EXIT_OK
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
     _check_catalogs(t, [("", array.model)])
     report = verify(array, t, max_collision_pairs=SHOWN)
-    print(f"model={array.model.spec_text()}", file=out)
-    print(f"rows={array.m}", file=out)
-    print(f"strength={t}", file=out)
-    print(f"is_covering={'true' if report.is_covering else 'false'}", file=out)
-    print(f"is_locating_exact1={'true' if report.is_locating_exact1 else 'false'}", file=out)
-    print(f"is_locating_1bar={'true' if report.is_locating_1bar else 'false'}", file=out)
-    print(f"uncovered_count={len(report.uncovered)}", file=out)
-    print(f"collision_count={report.collision_count}", file=out)
+    print(f"model={array.model.spec_text()}")
+    print(f"rows={array.m}")
+    print(f"strength={t}")
+    print(f"is_covering={'true' if report.is_covering else 'false'}")
+    print(f"is_locating_exact1={'true' if report.is_locating_exact1 else 'false'}")
+    print(f"is_locating_1bar={'true' if report.is_locating_1bar else 'false'}")
+    print(f"uncovered_count={len(report.uncovered)}")
+    print(f"collision_count={report.collision_count}")
     if report.is_locating_1bar:
-        print(f"# OK: every strength-{t} interaction is covered and all covering row sets are distinct", file=out)
+        print(f"# OK: every strength-{t} interaction is covered and all covering row sets are distinct")
     else:
         if report.uncovered:
             shown = report.uncovered[:SHOWN]
-            print(f"# {len(report.uncovered)} uncovered interactions, first {len(shown)}:", file=out)
+            print(f"# {len(report.uncovered)} uncovered interactions, first {len(shown)}:")
             for interaction in shown:
-                print(f"#   uncovered {interaction}", file=out)
+                print(f"#   uncovered {interaction}")
         if report.collision_count:
-            print(f"# {report.collision_count} colliding pairs, first {len(report.collisions)}:", file=out)
+            print(f"# {report.collision_count} colliding pairs, first {len(report.collisions)}:")
             for a, b, rows in report.collisions:
-                print(f"#   {a} ~ {b} rows={{{','.join(str(r) for r in sorted(rows))}}}", file=out)
+                print(f"#   {a} ~ {b} rows={{{','.join(str(r) for r in sorted(rows))}}}")
     return EXIT_OK if report.is_locating_1bar else EXIT_NOT_LOCATING
 
 
-def cmd_bound(args, out) -> int:
-    model = parse_model(args.model)
+def cmd_bound(args) -> int:
+    model = _parse_model(args.model)
     with _usage():
         low, high = initial_bounds(model, args.strength)
-    print(f"low={low} high={high}", file=out)
+    print(f"low={low} high={high}")
     return EXIT_OK
 
 
-def cmd_locate(args, out) -> int:
+def cmd_locate(args) -> int:
     array, file_t = _load(args.array)
     t = args.strength if args.strength is not None else file_t
-    with _usage():
+    with _usage("--failing: "):
         failing = frozenset(int(x) for x in args.failing.split(",") if x.strip())
+    with _usage():
         hits = locate_fault(array, failing, t)
-    print(f"candidates={len(hits)}", file=out)
+    print(f"candidates={len(hits)}")
     for interaction in hits:
-        print(str(interaction), file=out)
+        print(interaction)
     return EXIT_OK
 
 
 def _bundled_suite_text() -> str:
-    return resources.files("locaray").joinpath("data/benchmark_suite.txt").read_text()
+    return resources.files("locaray").joinpath("data/benchmark_suite.txt").read_text(encoding="utf-8")
 
 
 def load_suite(text: str) -> list[tuple[str, str]]:
@@ -298,10 +304,11 @@ def load_suite(text: str) -> list[tuple[str, str]]:
     return entries
 
 
-def cmd_bench(args, out) -> int:
+def cmd_bench(args) -> int:
     text = _read(args.suite, "suite ") if args.suite else _bundled_suite_text()
     with _usage():
-        entries = [(name, spec, parse_model(spec)) for name, spec in load_suite(text)]
+        suite = load_suite(text)
+    entries = [(name, spec, _parse_model(spec, f"suite instance {name}: ")) for name, spec in suite]
     if not entries:
         raise _UsageError("the suite lists no instances")
     _check_count("--runs", args.runs)
@@ -315,7 +322,7 @@ def cmd_bench(args, out) -> int:
         _check_writable(path)
     _check_catalogs(args.strength, [(f"suite instance {name}: ", model) for name, _, model in entries])
 
-    with _Output(args.out, out) as table, _Output(log_path) as log:
+    with _Output(args.out) as table, _Output(log_path) as log:
         writer = csv.writer(table, lineterminator="\n")
         writer.writerow(["name", "model", "x", "y", "runs", "mean_time_s", "mean_rows", "min_rows"])
         for name, spec, model in entries:
@@ -347,22 +354,15 @@ def _bench_instance(name, spec, model, args, log) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    report = io.StringIO()  # --help and the command's report, written to stdout once
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    except _UsageError as exc:  # --help that stdout cannot take
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    report = io.StringIO()  # written to stdout once, after the command
-    try:
-        code = args.run(args, report)
-    except ModelParseError as exc:
-        print(f"bad model: {exc}", file=sys.stderr)
-        code = EXIT_USAGE
+        with contextlib.redirect_stdout(report):
+            args = build_parser().parse_args(argv)
+            code = args.run(args)
+    except SystemExit as exc:  # from argparse: --help, or a usage error already on stderr
+        code = exc.code if exc.code is not None else EXIT_USAGE
     except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         code = EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
@@ -370,10 +370,10 @@ def main(argv=None) -> int:
         code = EXIT_CAPACITY
     try:
         if report.tell():  # even an empty write fails on a full device
-            with _Output(None, sys.stdout) as stdout:
+            with _Output() as stdout:
                 stdout.write(report.getvalue())
     except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     return code
 

@@ -462,10 +462,10 @@ def parse_array(text: str) -> tuple[TestArray, int]:
 
 
 def save_array(array: TestArray, strength: int, path) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_array(array, strength))
 
 
 def load_array(path) -> tuple[TestArray, int]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_array(fh.read())

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import errno
@@ -448,6 +449,14 @@ def test_locate_bad_row_index(capsys, printer_file):
     assert code == EXIT_USAGE
 
 
+def test_locate_bad_failing_item_names_the_flag(capsys, printer_file):
+    code, out, err = run_cli(capsys, "locate", "--array", printer_file, "--failing", "4,x")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("--failing: ") and "'x'" in err
+    assert err.count("\n") == 1
+
+
 # --- bench -----------------------------------------------------------------------
 
 
@@ -507,6 +516,16 @@ def test_bench_checks_the_strength_of_every_instance_before_any_file(capsys, tmp
     assert code == EXIT_USAGE
     assert out == ""
     assert "suite instance tiny: strength must lie in 1..2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
+
+
+def test_bench_bad_model_names_the_suite_instance_before_any_file(capsys, tmp_path, no_search):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("fine,2^3\nbad,2^x\n")
+    code, out, err = run_cli(capsys, "bench", "--suite", str(suite), "--runs", "1", "--out", str(tmp_path / "bench.csv"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "suite instance bad: bad model: malformed token '2^x'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.txt"]
 
 
@@ -757,6 +776,53 @@ def test_stdout_on_a_full_device_exits_64_with_one_line(covering_file, argv):
         proc = subprocess.run([sys.executable, "-m", "locaray.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == STDOUT_FULL
+
+
+# --- text encoding -----------------------------------------------------------------
+
+# a locale whose preferred encoding is ASCII where the C library has one, as in a bare container
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_in_ascii_locale(argv, cwd):
+    # the child runs in cwd, so it finds this test's locaray through an absolute path
+    package_root = os.path.dirname(os.path.dirname(locaray.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": pythonpath}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
+
+
+@pytest.fixture(scope="module")
+def ascii_locale(tmp_path_factory):
+    proc = run_in_ascii_locale(["-c", "import locale; print(locale.getpreferredencoding(False))"], tmp_path_factory.getbasetemp())
+    if codecs.lookup(proc.stdout.decode().strip()).name == "utf-8":
+        pytest.skip("the POSIX locale is UTF-8 on this platform")
+
+
+def test_bench_writes_utf8_files_in_an_ascii_locale(tmp_path, ascii_locale):
+    (tmp_path / "suite.txt").write_bytes("café,2^3\n".encode())
+    proc = run_in_ascii_locale(["-m", "locaray.cli", "bench", "--suite", "suite.txt", "--runs", "1", "--out", "x.csv"], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == proc.stderr == b""
+    assert (tmp_path / "x.csv").read_bytes().startswith(b"name,model,x,y,runs,mean_time_s,mean_rows,min_rows\ncaf\xc3\xa9,2^3,1,1,1,")
+    assert (tmp_path / "x.csv.log").read_bytes().startswith(b"caf\xc3\xa9 run=0 ")
+
+
+def test_a_stdout_that_cannot_encode_the_report_is_usage_error(tmp_path, ascii_locale):
+    (tmp_path / "suite.txt").write_bytes("café,2^3\n".encode())
+    proc = run_in_ascii_locale(["-m", "locaray.cli", "bench", "--suite", "suite.txt", "--runs", "1"], tmp_path)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("cannot write stdout: ") and "can't encode character '\\xe9'" in err
+    assert err.count("\n") == 1
+
+
+def test_load_array_reads_utf8_in_an_ascii_locale(tmp_path, ascii_locale):
+    (tmp_path / "a.la").write_bytes("# résumé\n2^3\n1 1\n0 1 0\n".encode())
+    proc = run_in_ascii_locale(["-c", "import locaray; print(locaray.load_array('a.la')[0].rows)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[[0, 1, 0]]\n"
 
 
 def test_console_script_smoke():

@@ -12,9 +12,11 @@ from locaray import (
     TestArray,
     format_array,
     interaction_count,
+    load_array,
     parse_array,
     parse_model,
     rho,
+    save_array,
 )
 from locaray.model import MAX_FACTORS, check_capacity, covers, enumerate_interactions, random_array
 
@@ -283,6 +285,13 @@ def test_format_and_parse_round_trip(printer_locating):
     assert arr == printer_locating
     assert text.endswith("\n")
     assert "\r" not in text
+
+
+def test_save_and_load_round_trip(printer_locating, tmp_path):
+    path = tmp_path / "printer.la"
+    save_array(printer_locating, 2, path)
+    assert path.read_bytes() == format_array(printer_locating, 2).encode()
+    assert load_array(path) == (printer_locating, 2)
 
 
 def test_format_is_byte_stable(printer_locating):
