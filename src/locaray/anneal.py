@@ -91,32 +91,34 @@ def select_neighbor_proposed(array: TestArray, index: CoverageIndex, rng: Random
     more than one covering row and a fair coin says so) or stamp it onto a
     row outside its covering set.
     """
-    if array.m == 0:
+    m = array.m
+    if m == 0:
         raise NoNeighborError("an array with no rows has no neighbors")
+    randrange = rng.randrange
     tids = index.uncovered_ids
     if tids:
-        tid = tids[rng.randrange(len(tids))]
-        row = rng.randrange(array.m)
-        return overwrite_move(array, row, index.catalog.interaction_at(tid))
+        tid = tids[randrange(len(tids))]
+        return overwrite_move(array, randrange(m), index.catalog.interaction_at(tid))
     tids = index.colliding_ids
     if not tids:
         raise RuntimeError("array is already locating; no neighbor to select")
-    tid = tids[rng.randrange(len(tids))]
+    tid = tids[randrange(len(tids))]
     interaction = index.catalog.interaction_at(tid)
     bits = index.rowsets[tid]
     covering = bits.bit_count()
-    outside = array.m - covering
+    outside = m - covering
     if covering > 1:
         # no row left to overwrite forces the alter branch
         alter = outside == 0 or rng.getrandbits(1) == 1
     else:
         alter = outside == 0
     if alter:
-        i = _nth_row(bits, rng.randrange(covering))
-        j = interaction.factors[rng.randrange(interaction.strength)]
+        i = _nth_row(bits, randrange(covering))
+        pairs = interaction.pairs  # the factor and strength properties build a tuple per call
+        j = pairs[randrange(len(pairs))][0]
         v = _random_other_value(rng, array.model.values[j], array.rows[i][j])
         return entry_move(array, i, j, v, interaction=interaction)
-    i = _nth_row(~bits & ((1 << array.m) - 1), rng.randrange(outside))
+    i = _nth_row(~bits & ((1 << m) - 1), randrange(outside))
     return overwrite_move(array, i, interaction)
 
 
@@ -145,23 +147,29 @@ def sa_run(
         return None  # nothing to mutate and not locating
     weight = params.weight
     temperature = params.t_init
+    cooling = params.cooling
     select_baseline = params.strategy == "baseline"
+    random, exp, monotonic = rng.random, math.exp, time.monotonic
+    # the index updates both lists in place; both empty means locating
+    uncovered, colliding = index.uncovered_ids, index.colliding_ids
+    # the neighbour selection, apply_move and undo_move are looked up in this
+    # module's globals on every call, so a tracer can wrap them there
     for iteration in range(params.k_max):
-        if deadline is not None and time.monotonic() >= deadline:
+        if deadline is not None and monotonic() >= deadline:
             return None
         if select_baseline:
             move = select_neighbor_baseline(array, rng)
         else:
             move = select_neighbor_proposed(array, index, rng)
         delta = apply_move(index, array, move, weight)
-        if index.is_locating():
+        if not uncovered and not colliding:
             return array
         # a cooling rate <= 0.5 underflows the temperature to 0.0, where exp(-delta/T)
         # is 0; the draw is still made, so the rng stream stays the same
-        accepted = delta <= 0 or rng.random() < (math.exp(-delta / temperature) if temperature else 0.0)
+        accepted = delta <= 0 or random() < (exp(-delta / temperature) if temperature else 0.0)
         if not accepted:
             undo_move(index, array, move)
         if observer is not None:
             observer(iteration, temperature, delta, accepted, index.cost(weight))
-        temperature *= params.cooling
+        temperature *= cooling
     return None

@@ -38,6 +38,7 @@ EXIT_USAGE = 64
 
 SHOWN = 20  # uncovered interactions and colliding pairs `verify` prints, each
 MAX_RUNS = 10_000  # --workers and bench --runs; a budget is built per run before any search
+BENCH_HEADER = ("name", "model", "x", "y", "runs", "mean_time_s", "mean_rows", "min_rows")
 
 
 class _UsageError(Exception):
@@ -150,6 +151,26 @@ def _check_writable(path: str) -> None:
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
         raise _UsageError(f"cannot write {path}")
+
+
+class _Report(io.StringIO):
+    """The buffer ``main`` redirects stdout into; ``stream`` is the stdout it
+    is written to once the command has finished."""
+
+    def __init__(self, stream):
+        super().__init__()
+        self.stream = stream
+
+    def check_encodes(self, text: str) -> None:
+        """Usage error unless ``stream`` can encode ``text``, so a part of the
+        report known before the search fails before it, not after.  A
+        stand-in stdout with no encoding takes any text."""
+        encoding = getattr(self.stream, "encoding", None)
+        if encoding:
+            try:
+                text.encode(encoding, getattr(self.stream, "errors", None) or "strict")
+            except UnicodeEncodeError as exc:
+                raise _UsageError(f"cannot write stdout: {exc}") from None
 
 
 class _Output(contextlib.AbstractContextManager):
@@ -320,11 +341,13 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"--out and --log name the same file {args.out}")
     for path in filter(None, (args.out, log_path)):
         _check_writable(path)
+    if not args.out:  # the CSV goes to stdout, through main's _Report
+        sys.stdout.check_encodes("\n".join([",".join(BENCH_HEADER)] + [f"{name},{spec}" for name, spec, _ in entries]))
     _check_catalogs(args.strength, [(f"suite instance {name}: ", model) for name, _, model in entries])
 
     with _Output(args.out) as table, _Output(log_path) as log:
         writer = csv.writer(table, lineterminator="\n")
-        writer.writerow(["name", "model", "x", "y", "runs", "mean_time_s", "mean_rows", "min_rows"])
+        writer.writerow(BENCH_HEADER)
         for name, spec, model in entries:
             writer.writerow(_bench_instance(name, spec, model, args, log))
     return EXIT_OK
@@ -354,7 +377,7 @@ def _bench_instance(name, spec, model, args, log) -> list:
 
 
 def main(argv=None) -> int:
-    report = io.StringIO()  # --help and the command's report, written to stdout once
+    report = _Report(sys.stdout)  # --help and the command's report, written to stdout once
     try:
         with contextlib.redirect_stdout(report):
             args = build_parser().parse_args(argv)

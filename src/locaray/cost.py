@@ -33,8 +33,9 @@ in ``locaray.model``.  Every build first asks ``model.check_capacity``,
 before the cache is consulted, so a lowered budget still refuses.
 
 ``apply_move`` logs the tids each entry change toggled, and ``undo_move``
-replays that log rather than walking the partner tables again.  So an
-undo reverts only the last move applied; any other move raises.
+replays that log rather than walking the partner tables again: the
+assignments in reverse, each with its (loses, gains) pairs swapped.  So
+an undo reverts only the last move applied; any other move raises.
 """
 
 from dataclasses import dataclass
@@ -48,13 +49,15 @@ from .model import (
     row_sets,
 )
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Move:
     """A candidate array change, recorded with enough state to undo it.
 
     ``assignments`` lists (row, factor, old_value, new_value) in application
     order.  ``kind`` is "entry" for a single-entry change or "row" for a row
     overwritten with an interaction (only the interaction's factors change).
+    One is built per annealing iteration, so it is slotted, built
+    positionally and not frozen: each of those makes it cheaper to build.
     """
 
     kind: str
@@ -67,14 +70,12 @@ def entry_move(array: TestArray, i: int, j: int, value: int, interaction: Intera
     old = array.rows[i][j]
     if value == old:
         raise ValueError("entry move must change the value")
-    return Move(kind="entry", assignments=((i, j, old, value),), row=i, interaction=interaction)
+    return Move("entry", ((i, j, old, value),), i, interaction)
 
 
 def overwrite_move(array: TestArray, i: int, interaction: Interaction) -> Move:
-    assignments = tuple(
-        (i, j, array.rows[i][j], v) for j, v in interaction.pairs if array.rows[i][j] != v
-    )
-    return Move(kind="row", assignments=assignments, row=i, interaction=interaction)
+    row = array.rows[i]
+    return Move("row", tuple([(i, j, row[j], v) for j, v in interaction.pairs if row[j] != v]), i, interaction)
 
 
 class CoverageIndex:
@@ -240,7 +241,8 @@ def apply_move(index: CoverageIndex, array: TestArray, move: Move, weight: float
     The index logs the move and the tids each of its entry changes toggled,
     for ``undo_move``.
     """
-    before = index.cost(weight)
+    uncovered, colliding = index.uncovered_ids, index.colliding_ids
+    before = weight * len(uncovered) + len(colliding)  # CoverageIndex.cost, inlined
     rows = array.rows
     entry_changed = index._entry_changed
     logged = []
@@ -250,7 +252,7 @@ def apply_move(index: CoverageIndex, array: TestArray, move: Move, weight: float
         logged.append(entry_changed(row, i, j, old, new))
     index._last_move = move
     index._last_tids = logged
-    return index.cost(weight) - before
+    return weight * len(uncovered) + len(colliding) - before
 
 
 def undo_move(index: CoverageIndex, array: TestArray, move: Move) -> None:

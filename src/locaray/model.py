@@ -130,13 +130,14 @@ def parse_model(spec: str) -> SutModel:
     return SutModel(tuple(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     """A set of (factor, value) pairs with pairwise-distinct factors.
 
     ``pairs`` is kept sorted by factor, which makes the representation
     canonical: two interactions are equal iff they assign the same values
-    to the same factors.  The strength is the number of pairs.
+    to the same factors.  The strength is the number of pairs.  Reports
+    hold many of them, so the class is slotted: no per-object ``__dict__``.
     """
 
     pairs: tuple[tuple[int, int], ...]

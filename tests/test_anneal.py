@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -10,6 +11,7 @@ from locaray import (
     rho,
     verify,
 )
+from locaray import anneal
 from locaray.anneal import NoNeighborError, sa_run, select_neighbor_baseline, select_neighbor_proposed
 from locaray.cost import apply_move, build_index, entry_move, overwrite_move, undo_move
 from locaray.model import random_array
@@ -331,6 +333,43 @@ def test_zero_temperature_rejects_uphill_moves_and_keeps_drawing():
     frozen = [acc for temp, delta, acc in events if temp == 0.0 and delta > 0]
     assert frozen and not any(frozen)
     assert rng.draws == sum(1 for _, delta, _ in events if delta > 0)
+
+
+@pytest.mark.parametrize("m", [5, 6], ids=["fails", "locates"])
+def test_sa_run_calls_the_names_a_tracer_wraps(monkeypatch, m):
+    # perfbench times and counts moves by rebinding these three names in
+    # locaray.anneal and reading each move's assignments, so sa_run must call
+    # them through those names, and the wrapped run must build the same array
+    model, params = SutModel((2, 2, 2)), AnnealParams()
+    unwrapped = sa_run(model, 2, m, params, random.Random(1))
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(anneal, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if name != "select_neighbor_proposed":  # as the tracer counts entry changes
+                calls["entry_changes"] += len(args[2].assignments)
+            return original(*args)
+
+        monkeypatch.setattr(anneal, name, wrapper)
+
+    for name in ("select_neighbor_proposed", "apply_move", "undo_move"):
+        counting(name)
+    accepted = []
+    wrapped = sa_run(model, 2, m, params, random.Random(1), observer=lambda it, temp, delta, acc, c: accepted.append(acc))
+    # the observer sees every iteration but one that ends the run locating
+    iterations = len(accepted) + (wrapped is not None)
+    assert (wrapped is None) == (m == 5)
+    if wrapped is None:
+        assert iterations == params.k_max
+        assert unwrapped is None
+    else:
+        assert unwrapped is not None and wrapped.rows == unwrapped.rows
+    assert calls["select_neighbor_proposed"] == calls["apply_move"] == iterations
+    assert calls["undo_move"] == accepted.count(False) > 0
+    assert calls["entry_changes"] >= calls["apply_move"] + calls["undo_move"]
 
 
 def test_sa_respects_deadline():

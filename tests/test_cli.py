@@ -816,6 +816,7 @@ def test_a_stdout_that_cannot_encode_the_report_is_usage_error(tmp_path, ascii_l
     err = proc.stderr.decode()
     assert err.startswith("cannot write stdout: ") and "can't encode character '\\xe9'" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "bench.log").exists()  # it fails before the search, which would log its runs
 
 
 def test_load_array_reads_utf8_in_an_ascii_locale(tmp_path, ascii_locale):

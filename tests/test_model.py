@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pickle
 import random
@@ -100,6 +101,24 @@ def test_interaction_is_sorted_and_comparable():
     assert a.pairs == ((0, 1), (2, 1))
     assert a.strength == 2
     assert Interaction(((0, 0), (1, 0))) < Interaction(((0, 0), (2, 0)))
+
+
+def test_interaction_is_slotted_and_keeps_its_value_semantics():
+    a = Interaction(((2, 1), (0, 1)))
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.pairs = ()
+    assert a == Interaction(((0, 1), (2, 1))) and a != Interaction(((0, 1), (2, 0)))
+    assert a != ((0, 1), (2, 1))  # not equal to its bare pairs
+    assert hash(a) == hash(Interaction(((0, 1), (2, 1)))) == hash((a.pairs,))  # the dataclass field hash
+    assert sorted([a, Interaction(((0, 1), (1, 0))), Interaction(((0, 0), (2, 1)))]) == [
+        Interaction(((0, 1), (1, 0))), Interaction(((0, 0), (2, 1))), a
+    ]
+    moved = dataclasses.replace(a, pairs=((3, 0), (1, 1)))
+    assert moved.pairs == ((1, 1), (3, 0))  # replace re-runs the canonical sort
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(a, protocol))
+        assert clone == a and clone.pairs == a.pairs and hash(clone) == hash(a)
 
 
 def test_catalog_counts():
