@@ -98,12 +98,12 @@ def select_neighbor_proposed(array: TestArray, index: CoverageIndex, rng: Random
     tids = index.uncovered_ids
     if tids:
         tid = tids[randrange(len(tids))]
-        return overwrite_move(array, randrange(m), index.catalog.interaction_at(tid))
+        return overwrite_move(array, randrange(m), index.catalog.pairs_at(tid))
     tids = index.colliding_ids
     if not tids:
         raise RuntimeError("array is already locating; no neighbor to select")
     tid = tids[randrange(len(tids))]
-    interaction = index.catalog.interaction_at(tid)
+    pairs = index.catalog.pairs_at(tid)
     bits = index.rowsets[tid]
     covering = bits.bit_count()
     outside = m - covering
@@ -114,12 +114,11 @@ def select_neighbor_proposed(array: TestArray, index: CoverageIndex, rng: Random
         alter = outside == 0
     if alter:
         i = _nth_row(bits, randrange(covering))
-        pairs = interaction.pairs  # the factor and strength properties build a tuple per call
         j = pairs[randrange(len(pairs))][0]
         v = _random_other_value(rng, array.model.values[j], array.rows[i][j])
-        return entry_move(array, i, j, v, interaction=interaction)
+        return entry_move(array, i, j, v)
     i = _nth_row(~bits & ((1 << m) - 1), randrange(outside))
-    return overwrite_move(array, i, interaction)
+    return overwrite_move(array, i, pairs)
 
 
 def sa_run(

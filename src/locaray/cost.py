@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 from .model import (
     _BYTES_PER_INTERACTION,  # the gate's footprint figure, which perfbench reads here
-    Interaction,
     TestArray,
     check_capacity,
     enumerate_interactions,
@@ -54,28 +53,27 @@ class Move:
     """A candidate array change, recorded with enough state to undo it.
 
     ``assignments`` lists (row, factor, old_value, new_value) in application
-    order.  ``kind`` is "entry" for a single-entry change or "row" for a row
-    overwritten with an interaction (only the interaction's factors change).
+    order; it is all ``apply_move`` and ``undo_move`` read.  It stays a
+    class rather than a bare tuple of assignments because a tracer wraps
+    ``apply_move`` and ``undo_move`` and reads ``move.assignments`` by name.
     One is built per annealing iteration, so it is slotted, built
     positionally and not frozen: each of those makes it cheaper to build.
     """
 
-    kind: str
     assignments: tuple[tuple[int, int, int, int], ...]
-    row: int
-    interaction: Interaction | None = None
 
 
-def entry_move(array: TestArray, i: int, j: int, value: int, interaction: Interaction | None = None) -> Move:
+def entry_move(array: TestArray, i: int, j: int, value: int) -> Move:
     old = array.rows[i][j]
     if value == old:
         raise ValueError("entry move must change the value")
-    return Move("entry", ((i, j, old, value),), i, interaction)
+    return Move(((i, j, old, value),))
 
 
-def overwrite_move(array: TestArray, i: int, interaction: Interaction) -> Move:
+def overwrite_move(array: TestArray, i: int, pairs: tuple[tuple[int, int], ...]) -> Move:
+    """Stamp the (factor, value) ``pairs`` onto row i; only the entries that differ change."""
     row = array.rows[i]
-    return Move("row", tuple([(i, j, row[j], v) for j, v in interaction.pairs if row[j] != v]), i, interaction)
+    return Move(tuple([(i, j, row[j], v) for j, v in pairs if row[j] != v]))
 
 
 class CoverageIndex:

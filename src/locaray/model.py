@@ -21,9 +21,12 @@ prefix extends to the masks themselves.
 
 ``InteractionCatalog`` numbers the strength-t interactions densely, one
 block per factor combination; it holds the combinations and their block
-offsets, decodes indices by ``divmod`` over the value counts, a whole list
-in one ``interactions_at`` call, and encodes them for the coverage index
-through its ``partners`` tables, built on first use.
+offsets, and encodes indices for the coverage index through its
+``partners`` tables, built on first use.  It decodes an index in one
+place, ``pairs_at``, by ``divmod`` over the value counts, into the
+canonical pairs tuple: that is all the annealing loop reads, so an
+``Interaction`` is built only where a report or a fault query returns one,
+through ``interactions_at``.
 
 ``enumerate_interactions`` is the one (model, t) cache: it keeps the
 catalog of the last (model, t) asked for, and with it the partner tables
@@ -49,12 +52,12 @@ are 1-based in every human-facing or on-disk representation (``rho``,
 reports, the array file format).
 """
 
-import bisect
 import functools
 import itertools
 import math
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 
@@ -378,36 +381,31 @@ class InteractionCatalog:
                 tables[j].append((offset, strides[d], shared.setdefault(others, others)))
         return tuple(tuple(entries) for entries in tables)
 
-    def interaction_at(self, idx: int) -> Interaction:
-        """Interaction at a dense index, in the order iteration yields them."""
-        return self.interactions_at((idx,))[0]
+    def pairs_at(self, tid: int) -> tuple[tuple[int, int], ...]:
+        """The canonical (factor, value) pairs of the interaction at a dense
+        index, in the order iteration yields them; IndexError outside
+        0..len - 1.
+
+        The one tid decoder: the block is found by bisecting the offsets,
+        and the rank within it is peeled off from the last factor, which
+        varies fastest, one ``divmod`` by its value count per factor.
+        """
+        if not 0 <= tid < self.size:
+            raise IndexError(tid)
+        offsets = self.offsets
+        pos = bisect_right(offsets, tid) - 1
+        rem = tid - offsets[pos]
+        values = self.model.values
+        pairs = []
+        for j in reversed(self.combos[pos]):
+            rem, v = divmod(rem, values[j])
+            pairs.append((j, v))
+        pairs.reverse()  # combos are ascending, so the pairs are now canonical
+        return tuple(pairs)
 
     def interactions_at(self, tids) -> list[Interaction]:
-        """The interactions at a sequence of dense indices, in that order.
-
-        A tid's block is found by bisecting the offsets, and its rank within
-        the block is peeled off from the last factor, which varies fastest,
-        one ``divmod`` by its value count per factor.
-        """
-        size = self.size
-        offsets = self.offsets
-        combos = self.combos
-        values = self.model.values
-        find = bisect.bisect_right
-        canonical = Interaction._canonical
-        out = []
-        for idx in tids:
-            if not 0 <= idx < size:
-                raise IndexError(idx)
-            pos = find(offsets, idx) - 1
-            rem = idx - offsets[pos]
-            pairs = []
-            for j in reversed(combos[pos]):
-                rem, v = divmod(rem, values[j])
-                pairs.append((j, v))
-            # combos are ascending, so the reversed pairs are canonical
-            out.append(canonical(tuple(reversed(pairs))))
-        return out
+        """The interactions at a sequence of dense indices, in that order."""
+        return [Interaction._canonical(self.pairs_at(tid)) for tid in tids]
 
     def __iter__(self):
         for combo in self.combos:

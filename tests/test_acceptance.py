@@ -207,7 +207,7 @@ def test_criterion_8_oracle_equivalence():
                 mismatches += 1
             cap = queries.randint(0, 5)
             catalog = enumerate_interactions(model, t)
-            failing_sets = [rho(array, catalog.interaction_at(queries.randrange(len(catalog)))) for _ in range(3)]
+            failing_sets = [rho(array, catalog.interactions_at([queries.randrange(len(catalog))])[0]) for _ in range(3)]
             failing_sets.append(frozenset(i for i in range(1, array.m + 1) if queries.random() < 0.5))
             if (
                 report != literal_verify(array, t)
@@ -240,7 +240,7 @@ def test_criterion_8_oracle_equivalence():
                 strength = rng.randint(1, min(3, model.k))
                 factors = sorted(rng.sample(range(model.k), strength))
                 pairs = tuple((f, rng.randrange(model.values[f])) for f in factors)
-                move = overwrite_move(array, i, Interaction(pairs))
+                move = overwrite_move(array, i, pairs)
             apply_move(index, array, move)
             if rng.random() < 0.5:
                 undo_move(index, array, move)

@@ -6,6 +6,7 @@ import pytest
 
 from locaray import (
     AnnealParams,
+    Interaction,
     SutModel,
     TestArray,
     rho,
@@ -14,7 +15,7 @@ from locaray import (
 from locaray import anneal
 from locaray.anneal import NoNeighborError, sa_run, select_neighbor_baseline, select_neighbor_proposed
 from locaray.cost import apply_move, build_index, entry_move, overwrite_move, undo_move
-from locaray.model import random_array
+from locaray.model import covers, enumerate_interactions, random_array
 from tests.conftest import PRINTER_COVERING_ROWS, PRINTER_MODEL
 
 
@@ -49,7 +50,6 @@ def test_params_validation(kwargs):
 def test_baseline_forced_move_on_1x1_binary():
     arr = TestArray(SutModel((2,)), [[0]])
     move = select_neighbor_baseline(arr, random.Random(0))
-    assert move.kind == "entry"
     assert move.assignments == ((0, 0, 0, 1),)
 
 
@@ -83,6 +83,27 @@ def test_baseline_requires_rows():
 # --- proposed neighbor ------------------------------------------------------------
 
 
+def _replay_choice(index, rng):
+    """The tid and interaction the proposed selection draws first from ``rng``,
+    replayed on a copy, so ``rng`` itself is left where it was."""
+    copy = random.Random()
+    copy.setstate(rng.getstate())
+    tids = index.uncovered_ids or index.colliding_ids
+    tid = tids[copy.randrange(len(tids))]
+    return tid, index.catalog.interactions_at([tid])[0]
+
+
+def _stamped_row(arr, move, interaction):
+    """The one row ``move`` overwrites with ``interaction``, checked."""
+    (i,) = {i for i, _, _, _ in move.assignments}
+    assert {(j, new) for _, j, _, new in move.assignments} <= set(interaction.pairs)
+    stamped = arr.rows[i][:]
+    for _, j, _, new in move.assignments:
+        stamped[j] = new
+    assert covers(stamped, interaction)
+    return i
+
+
 def test_proposed_overwrites_with_uncovered_interaction_first():
     rng = random.Random(9)
     model = SutModel((2, 2, 2))
@@ -90,10 +111,11 @@ def test_proposed_overwrites_with_uncovered_interaction_first():
     index = build_index(arr, 2)
     assert index.uncovered_count > 0
     for _ in range(200):
+        _, interaction = _replay_choice(index, rng)
         move = select_neighbor_proposed(arr, index, rng)
-        assert move.kind == "row"
-        # the chosen interaction is currently uncovered
-        assert rho(arr, move.interaction) == frozenset()
+        # the chosen interaction is currently uncovered, and a row is overwritten with it
+        assert rho(arr, interaction) == frozenset()
+        _stamped_row(arr, move, interaction)
 
 
 def test_proposed_singleton_rho_always_overwrites_outside(printer_covering):
@@ -103,11 +125,11 @@ def test_proposed_singleton_rho_always_overwrites_outside(printer_covering):
     assert index.uncovered_count == 0
     rng = random.Random(17)
     for _ in range(300):
+        _, interaction = _replay_choice(index, rng)
         move = select_neighbor_proposed(printer_covering, index, rng)
-        covering_rows = rho(printer_covering, move.interaction)
+        covering_rows = rho(printer_covering, interaction)
         if len(covering_rows) == 1:
-            assert move.kind == "row"
-            assert move.row + 1 not in covering_rows
+            assert _stamped_row(printer_covering, move, interaction) + 1 not in covering_rows
 
 
 def test_proposed_coin_branch_with_larger_rho():
@@ -118,20 +140,22 @@ def test_proposed_coin_branch_with_larger_rho():
     assert index.uncovered_count == 0
     assert index.collision_count == 4
     rng = random.Random(29)
-    kinds = set()
+    branches = set()
     for _ in range(400):
+        _, interaction = _replay_choice(index, rng)
         move = select_neighbor_proposed(arr, index, rng)
-        kinds.add(move.kind)
-        covering = rho(arr, move.interaction)
+        covering = rho(arr, interaction)
         assert len(covering) == 2
-        if move.kind == "entry":
-            i, j, old, new = move.assignments[0]
-            assert i + 1 in covering  # altered a covering row
-            assert j in move.interaction.factors
+        # an alter move's row lies in the covering set, a stamp's outside it
+        if move.assignments[0][0] + 1 in covering:
+            branches.add("alter")
+            ((i, j, old, new),) = move.assignments
+            assert j in interaction.factors
             assert new != old
         else:
-            assert move.row + 1 not in covering
-    assert kinds == {"entry", "row"}  # the fair coin takes both branches
+            branches.add("stamp")
+            _stamped_row(arr, move, interaction)
+    assert branches == {"alter", "stamp"}  # the fair coin takes both branches
 
 
 def test_proposed_requires_deficiency(printer_locating):
@@ -146,9 +170,9 @@ def _row_scan_proposed(array, index, rng):
     if index.uncovered_ids:
         tid = index.uncovered_ids[rng.randrange(len(index.uncovered_ids))]
         row = rng.randrange(array.m)
-        return overwrite_move(array, row, index.catalog.interaction_at(tid))
+        return overwrite_move(array, row, index.catalog.interactions_at([tid])[0].pairs)
     tid = index.colliding_ids[rng.randrange(len(index.colliding_ids))]
-    interaction = index.catalog.interaction_at(tid)
+    interaction = index.catalog.interactions_at([tid])[0]
     bits = index.rowsets[tid]
     covering = [i for i in range(array.m) if (bits >> i) & 1]
     outside = array.m - len(covering)
@@ -161,17 +185,17 @@ def _row_scan_proposed(array, index, rng):
         j = interaction.factors[rng.randrange(interaction.strength)]
         v = rng.randrange(array.model.values[j] - 1)
         v = v + 1 if v >= array.rows[i][j] else v
-        return entry_move(array, i, j, v, interaction=interaction)
+        return entry_move(array, i, j, v)
     skip = frozenset(covering)
     others = [i for i in range(array.m) if i not in skip]
     i = others[rng.randrange(len(others))]
-    return overwrite_move(array, i, interaction)
+    return overwrite_move(array, i, interaction.pairs)
 
 
 def test_proposed_matches_row_scan_selection_and_rng_draws():
     rng = random.Random(71)
-    kinds = {"uncovered": 0, "entry": 0, "row": 0}
-    while kinds["entry"] + kinds["row"] < 2000 or min(kinds.values()) < 200:
+    kinds = {"uncovered": 0, "alter": 0, "stamp": 0}
+    while kinds["alter"] + kinds["stamp"] < 2000 or min(kinds.values()) < 200:
         model = SutModel(tuple(rng.randint(2, 3) for _ in range(rng.randint(2, 6))))
         t = rng.randint(1, min(2, model.k))
         # rows drawn from a small pool repeat, so row sets collide at every
@@ -184,10 +208,14 @@ def test_proposed_matches_row_scan_selection_and_rng_draws():
                 break
             seed = rng.getrandbits(64)
             ours, theirs = random.Random(seed), random.Random(seed)
+            tid, _ = _replay_choice(index, ours)
             move = select_neighbor_proposed(arr, index, ours)
             assert move == _row_scan_proposed(arr, index, theirs)
             assert ours.getstate() == theirs.getstate()
-            kinds["uncovered" if index.uncovered_count else move.kind] += 1
+            if index.uncovered_count:
+                kinds["uncovered"] += 1
+            else:  # an alter move's row lies in the covering set, a stamp's outside it
+                kinds["alter" if index.rowsets[tid] >> move.assignments[0][0] & 1 else "stamp"] += 1
             apply_move(index, arr, move)
             if rng.random() < 0.9:
                 undo_move(index, arr, move)
@@ -195,24 +223,25 @@ def test_proposed_matches_row_scan_selection_and_rng_draws():
 
 def test_proposed_fixed_seed_trace_regression():
     # frozen from the first correct run: seed 1234 on the pinned 6-row array,
-    # each selected move applied before the next selection
+    # each selected move applied before the next selection; the row is each
+    # assignment's first field
     arr = TestArray(PRINTER_MODEL, PRINTER_COVERING_ROWS)
     index = build_index(arr, 2)
     rng = random.Random(1234)
     trace = []
     for _ in range(8):
         move = select_neighbor_proposed(arr, index, rng)
-        trace.append((move.kind, move.row, move.assignments))
+        trace.append(move.assignments)
         apply_move(index, arr, move)
     assert trace == [
-        ("row", 0, ((0, 3, 0, 2),)),
-        ("row", 0, ((0, 3, 2, 0),)),
-        ("row", 1, ((1, 3, 1, 0),)),
-        ("row", 5, ((5, 3, 0, 1),)),
-        ("row", 0, ((0, 3, 0, 1),)),
-        ("row", 1, ((1, 1, 0, 1),)),
-        ("row", 0, ((0, 0, 0, 1), (0, 3, 1, 0))),
-        ("row", 2, ((2, 3, 2, 1),)),
+        ((0, 3, 0, 2),),
+        ((0, 3, 2, 0),),
+        ((1, 3, 1, 0),),
+        ((5, 3, 0, 1),),
+        ((0, 3, 0, 1),),
+        ((1, 1, 0, 1),),
+        ((0, 0, 0, 1), (0, 3, 1, 0)),
+        ((2, 3, 2, 1),),
     ]
 
 
@@ -239,11 +268,10 @@ def test_sa_below_optimum_fails():
 
 def test_sa_deterministic_per_seed():
     model = SutModel((2, 2, 2, 3))
-    a = sa_run(model, 2, 8, AnnealParams(), random.Random(77))
-    b = sa_run(model, 2, 8, AnnealParams(), random.Random(77))
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a.rows == b.rows
+    a = sa_run(model, 2, 10, AnnealParams(), random.Random(77))
+    b = sa_run(model, 2, 10, AnnealParams(), random.Random(77))
+    assert a is not None and b is not None
+    assert a.rows == b.rows
 
 
 def test_sa_trace_is_reproducible():
@@ -372,6 +400,35 @@ def test_sa_run_calls_the_names_a_tracer_wraps(monkeypatch, m):
     assert calls["entry_changes"] >= calls["apply_move"] + calls["undo_move"]
 
 
+@pytest.mark.parametrize("m", [5, 6], ids=["fails", "locates"])
+def test_proposed_sa_run_builds_no_interaction(monkeypatch, m):
+    # a move is its assignments: the selection decodes a tid into its pairs
+    # only, so an Interaction is built only where a report or query returns one
+    built = []
+    canonical, post_init = Interaction._canonical, Interaction.__post_init__
+
+    def counting_canonical(cls, pairs):
+        built.append(pairs)
+        return canonical(pairs)
+
+    def counting_post_init(self):
+        built.append(self.pairs)
+        post_init(self)
+
+    monkeypatch.setattr(Interaction, "_canonical", classmethod(counting_canonical))
+    monkeypatch.setattr(Interaction, "__post_init__", counting_post_init)
+    model = SutModel((2, 2, 2))
+    iterations = []
+    found = sa_run(model, 2, m, AnnealParams(), random.Random(1), observer=lambda it, *_: iterations.append(it))
+    assert (found is None) == (m == 5)
+    assert iterations  # the run selected moves
+    assert built == []
+    # both counters see the constructions they are meant to
+    enumerate_interactions(model, 2).interactions_at([0])
+    Interaction(((0, 1),))
+    assert built == [((0, 0), (1, 0)), ((0, 1),)]
+
+
 def test_sa_respects_deadline():
     model = SutModel((3, 3, 3, 3, 3, 3))
     start = time.monotonic()
@@ -387,22 +444,22 @@ def test_sa_respects_deadline():
 def test_result_always_has_requested_rows_and_verifies():
     model = SutModel((2, 2, 2, 3))
     for seed in range(3):
-        found = sa_run(model, 2, 9, AnnealParams(), random.Random(seed))
-        if found is not None:
-            assert found.m == 9
-            assert verify(found, 2).is_locating_1bar
+        found = sa_run(model, 2, 10, AnnealParams(), random.Random(seed))
+        assert found is not None
+        assert found.m == 10
+        assert verify(found, 2).is_locating_1bar
 
 
 def test_baseline_strategy_runs_end_to_end():
     found = sa_run(
         SutModel((2, 2, 2)), 2, 8, AnnealParams(strategy="baseline"), random.Random(4)
     )
-    if found is not None:
-        assert verify(found, 2).is_locating_1bar
+    assert found is not None
+    assert verify(found, 2).is_locating_1bar
 
 
 def test_move_shapes():
-    # baseline differs in exactly one entry; proposed row moves change at most t entries
+    # baseline differs in exactly one entry; a proposed move changes 1..t entries of one row
     rng = random.Random(8)
     model = SutModel((2, 3, 2, 3))
     arr = random_array(model, 6, rng)
@@ -411,6 +468,5 @@ def test_move_shapes():
         baseline = select_neighbor_baseline(arr, rng)
         assert len(baseline.assignments) == 1
         proposed = select_neighbor_proposed(arr, index, rng)
-        if proposed.kind == "row":
-            assert 1 <= len(proposed.assignments) <= 2
-            assert all(i == proposed.row for i, _, _, _ in proposed.assignments)
+        assert 1 <= len(proposed.assignments) <= 2
+        assert len({i for i, _, _, _ in proposed.assignments}) == 1

@@ -7,7 +7,6 @@ import pytest
 from locaray import (
     AnnealParams,
     CapacityError,
-    Interaction,
     SearchBudget,
     SutModel,
     TestArray,
@@ -38,7 +37,7 @@ def random_move(arr, rng):
     t = rng.randint(1, min(3, arr.model.k))
     combo = rng.sample(range(arr.model.k), t)
     pairs = tuple((f, rng.randrange(arr.model.values[f])) for f in sorted(combo))
-    return overwrite_move(arr, i, Interaction(pairs))
+    return overwrite_move(arr, i, pairs)
 
 
 # --- counter fixtures ---------------------------------------------------------
@@ -104,7 +103,7 @@ def test_rowsets_match_rho_on_random_arrays():
         arr = random_array(model, rng.randint(0, 8), rng)
         index = build_index(arr, t)
         for tid in range(len(index.catalog)):
-            interaction = index.catalog.interaction_at(tid)
+            interaction = index.catalog.interactions_at([tid])[0]
             rows = frozenset(i + 1 for i in range(arr.m) if index.rowsets[tid] >> i & 1)
             assert rows == rho(arr, interaction)
             assert index.rowsets[tid] >> arr.m == 0  # no bit past the last row
@@ -119,10 +118,9 @@ def test_entry_move_requires_change(printer_covering):
 
 
 def test_overwrite_move_touches_only_interaction_factors(printer_covering):
-    interaction = Interaction(((0, 1), (3, 1)))
-    move = overwrite_move(printer_covering, 0, interaction)
-    assert move.kind == "row"
-    assert {j for _, j, _, _ in move.assignments} <= {0, 3}
+    pairs = ((0, 1), (3, 1))
+    move = overwrite_move(printer_covering, 0, pairs)
+    assert {(j, new) for _, j, _, new in move.assignments} <= set(pairs)
     assert all(i == 0 for i, _, _, _ in move.assignments)
 
 

@@ -162,15 +162,18 @@ def test_index_round_trips():
         for t in range(model.k + 1):
             catalog = enumerate_interactions(model, t)
             for pos, interaction in enumerate(catalog):
-                assert catalog.interaction_at(pos) == interaction
+                assert catalog.pairs_at(pos) == interaction.pairs
+                assert catalog.interactions_at([pos]) == [interaction]
             for idx in (-1, len(catalog)):
                 with pytest.raises(IndexError):
-                    catalog.interaction_at(idx)
+                    catalog.pairs_at(idx)
+                with pytest.raises(IndexError):
+                    catalog.interactions_at([idx])
 
 
 def test_batch_decode_equals_one_at_a_time():
-    # interaction_at decodes through interactions_at, so iteration order is
-    # the independent reference for both
+    # interactions_at decodes through pairs_at, so iteration order is the
+    # independent reference for both
     for model in (SutModel((2, 2, 2, 3)), SutModel((3, 4, 2)), SutModel((2, 5)), SutModel((4,))):
         for t in range(model.k + 1):
             catalog = enumerate_interactions(model, t)
@@ -178,14 +181,16 @@ def test_batch_decode_equals_one_at_a_time():
             tids = list(range(len(catalog)))
             tids += tids[::-1]
             batch = catalog.interactions_at(tids)
-            assert batch == [catalog.interaction_at(i) for i in tids] == [everything[i] for i in tids]
+            assert batch == [everything[i] for i in tids]
+            assert [i.pairs for i in batch] == [catalog.pairs_at(i) for i in tids]
     catalog = enumerate_interactions(parse_model("2^40 3^10"), 2)
     everything = list(catalog)
     rng = random.Random(14)
     edges = [offset + d for offset in catalog.offsets for d in (-1, 0) if offset + d >= 0] + [len(catalog) - 1]
     tids = [rng.randrange(len(catalog)) for _ in range(500)] + edges
     batch = catalog.interactions_at(tids)
-    assert batch == [catalog.interaction_at(i) for i in tids] == [everything[i] for i in tids]
+    assert batch == [everything[i] for i in tids]
+    assert [i.pairs for i in batch] == [catalog.pairs_at(i) for i in tids]
     for bad in (-1, len(catalog)):
         with pytest.raises(IndexError):
             catalog.interactions_at([0, bad])
@@ -193,11 +198,12 @@ def test_batch_decode_equals_one_at_a_time():
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_interaction_at_equals_the_checked_constructor(t):
-    # interaction_at skips the sort and duplicate check; nothing may tell
+    # the decode skips the sort and duplicate check; nothing may tell
     for model in (SutModel((3, 2, 4, 2, 5)), SutModel((2, 6, 3, 2))):
         catalog = enumerate_interactions(model, t)
         for tid, pairs in enumerate(brute_force_interactions(model, t)):
-            fast, checked = catalog.interaction_at(tid), Interaction(tuple(reversed(pairs)))
+            assert catalog.pairs_at(tid) == pairs
+            fast, checked = catalog.interactions_at([tid])[0], Interaction(tuple(reversed(pairs)))
             assert fast == checked and checked == fast
             assert hash(fast) == hash(checked)
             assert fast.sort_key() == checked.sort_key()

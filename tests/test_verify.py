@@ -260,7 +260,7 @@ def test_mask_kernel_matches_literal_scan_across_word_boundaries(m, t):
     for array in (random_array(model, m, rng), TestArray(model, uniform)):
         assert verify(array, t, max_collision_pairs=None) == literal_verify(array, t)
         assert verify(array, t, max_collision_pairs=4) == literal_verify(array, t, max_collision_pairs=4)
-        failing_sets = [rho(array, catalog.interaction_at(rng.randrange(len(catalog)))) for _ in range(6)]
+        failing_sets = [rho(array, catalog.interactions_at([rng.randrange(len(catalog))])[0]) for _ in range(6)]
         failing_sets += [frozenset({i}) for i in (1, 63, 64, 65, 130) if i <= m]
         failing_sets.append(frozenset(range(1, m + 1)))
         for failing in failing_sets:
@@ -297,7 +297,7 @@ def test_locate_fault_matches_literal_oracle_on_random_cases(t):
             frozenset({rng.randint(1, array.m)}),
             frozenset(range(1, array.m + 1)),
             frozenset(rng.sample(range(1, array.m + 1), rng.randint(1, array.m))),
-            rho(array, catalog.interaction_at(rng.randrange(len(catalog)))),
+            rho(array, catalog.interactions_at([rng.randrange(len(catalog))])[0]),
         ]
         for failing in failing_sets:
             assert locate_fault(array, failing, t) == literal_locate_fault(array, failing, t)
