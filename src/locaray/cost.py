@@ -8,11 +8,14 @@ for any positive weight, exactly when the array is a locating array.
 The index keeps, per interaction, its covering row set as a bit mask, plus
 a grouping of equal non-empty masks and the lists of uncovered and of
 colliding interaction ids, all maintained in O(1) per touched interaction;
-U and C are the lengths of those two lists.  A group is a bare interaction
-id while only one interaction has that row set, and becomes a set once two
-or more share it; most interactions of a nearly locating array are alone
-in their group, so a retarget usually moves one dict slot and touches no
-set.
+U and C are the lengths of those two lists.  A group is one int.  With
+``one = 1 << len(rowsets).bit_length()``, a power of two above every tid, a
+row set held by one interaction maps to its bare tid (< ``one``), and one
+shared by n >= 2 maps to ``n * one`` plus the XOR of their tids; joining is
+``(g + one) ^ tid``, leaving ``(g - one) ^ tid``, and a group of two that
+loses a member leaves ``one`` plus the other tid.  Most interactions of a
+nearly locating array are alone in their group, so lone tids stay bare: a
+retarget then moves one dict slot and allocates no int.
 
 The build fills every row set at once with ``model.row_sets``, the
 column-mask kernel that ``verify`` also uses, and then groups them; the
@@ -96,8 +99,9 @@ class CoverageIndex:
         self._partners = self.catalog.partners
         self.uncovered_ids: list[int] = []
         self.colliding_ids: list[int] = []
-        # row set -> the tid holding it, or the set of tids once two or more share it
-        self._groups: dict[int, int | set[int]] = {}
+        # row set -> the tid holding it, or, once n >= 2 share it, n * one + the
+        # XOR of their tids (``one`` is set by the build; see the module docstring)
+        self._groups: dict[int, int] = {}
         # the last move applied and the tids each of its entry changes toggled
         self._last_move: Move | None = None
         self._last_tids: list[list[int]] = []
@@ -108,6 +112,7 @@ class CoverageIndex:
 
     def _build(self, array: TestArray) -> None:
         rowsets = self.rowsets = row_sets(array, self.catalog.strength)
+        one = self._one = 1 << len(rowsets).bit_length()
         groups = self._groups
         uncovered = self.uncovered_ids
         colliding = self.colliding_ids
@@ -115,15 +120,15 @@ class CoverageIndex:
             if rs == 0:
                 uncovered.append(tid)
                 continue
-            members = groups.get(rs)
-            if members is None:
+            g = groups.get(rs)
+            if g is None:
                 groups[rs] = tid
-            elif type(members) is int:
-                groups[rs] = {members, tid}
-                colliding += (members, tid)
-            else:
-                members.add(tid)
-                colliding.append(tid)
+                continue
+            if g < one:  # a lone tid becomes a group of one, then two
+                colliding.append(g)
+                g += one
+            groups[rs] = (g + one) ^ tid
+            colliding.append(tid)
         self._uncovered_pos = {tid: p for p, tid in enumerate(uncovered)}
         self._colliding_pos = {tid: p for p, tid in enumerate(colliding)}
 
@@ -155,6 +160,7 @@ class CoverageIndex:
         """
         rowsets = self.rowsets
         groups = self._groups
+        one = self._one
         u_items = self.uncovered_ids
         u_pos = self._uncovered_pos
         c_items = self.colliding_ids
@@ -162,16 +168,16 @@ class CoverageIndex:
         for tid in tids:
             rs = rowsets[tid]
             if rs:
-                members = groups.pop(rs)
-                if type(members) is not int:
-                    members.discard(tid)
+                g = groups.pop(rs)
+                if g >= one:  # tid was shared
+                    g = (g - one) ^ tid
                     p = c_pos.pop(tid)
                     last = c_items.pop()
                     if last != tid:
                         c_items[p] = last
                         c_pos[last] = p
-                    if len(members) == 1:
-                        other = members.pop()
+                    if g < 2 * one:  # one member left: g - one is its tid
+                        other = g - one
                         groups[rs] = other
                         p = c_pos.pop(other)
                         last = c_items.pop()
@@ -179,7 +185,7 @@ class CoverageIndex:
                             c_items[p] = last
                             c_pos[last] = p
                     else:
-                        groups[rs] = members
+                        groups[rs] = g
             else:
                 p = u_pos.pop(tid)
                 last = u_items.pop()
@@ -189,14 +195,13 @@ class CoverageIndex:
             rs ^= bit
             rowsets[tid] = rs
             if rs:
-                members = groups.setdefault(rs, tid)
-                if members is not tid:  # the row set was taken
-                    if type(members) is int:
-                        groups[rs] = {members, tid}
-                        c_pos[members] = len(c_items)
-                        c_items.append(members)
-                    else:
-                        members.add(tid)
+                g = groups.setdefault(rs, tid)
+                if g is not tid:  # the row set was taken
+                    if g < one:
+                        c_pos[g] = len(c_items)
+                        c_items.append(g)
+                        g += one
+                    groups[rs] = (g + one) ^ tid
                     c_pos[tid] = len(c_items)
                     c_items.append(tid)
             else:

@@ -282,16 +282,17 @@ def interaction_count(model: SutModel, t: int) -> int:
 DEFAULT_MEM_BUDGET_MB = 512
 MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
 # per-interaction footprint of a running annealing probe: the coverage
-# index (mask, group slot, sample-set slot) plus the catalog and partner
+# index (mask, group slot, sample-list slot) plus the catalog and partner
 # tables of its (model, t), which a construct's first build allocates and
-# its later probes share.  The tracemalloc peak of one default ``sa_run``
-# on 2^40 3^10 (t=2) at 12 / 20 / 33 / 40 rows was 466 / 340 / 310 / 246 B,
-# and on 2^10 3^2 (t=3) at 12 / 20 / 33 rows 371 / 397 / 346 B, against at
-# most 235 B right after a build: under churn, the sets of shared groups
-# never shrink and the group dict resizes to about 3x its live entries.
-# This is the largest figure rounded up.  ``verify``, which also holds a
-# row set per interaction, is held to the same figure.
-_BYTES_PER_INTERACTION = 480
+# its later probes share.  The tracemalloc peak of one default ``sa_run``,
+# worst over Python 3.10-3.13, on 2^40 3^10 (t=2) at 12 / 20 / 33 rows was
+# 333 / 271 / 299 B, and on 2^10 3^2 (t=3) at 12 / 20 / 33 rows 263 / 280 /
+# 289 B, against at most 235 B right after a build: under churn the group
+# dict resizes to about 3x its live entries.  ``verify``, which also holds
+# a row set per interaction, peaked at 290 B on a 0-row array, whose report
+# lists every interaction as uncovered, and at most 141 B on 12-33 rows.
+# The figure is the largest, 333 B, rounded up to a multiple of 40.
+_BYTES_PER_INTERACTION = 360
 
 
 class CapacityError(Exception):

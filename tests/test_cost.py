@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -17,7 +19,14 @@ from locaray import (
 )
 from locaray.cost import _BYTES_PER_INTERACTION, apply_move, build_index, entry_move, overwrite_move, undo_move
 from locaray.anneal import sa_run
-from locaray.model import InteractionCatalog, enumerate_interactions, interaction_count, random_array, row_sets
+from locaray.model import (
+    InteractionCatalog,
+    check_capacity,
+    enumerate_interactions,
+    interaction_count,
+    random_array,
+    row_sets,
+)
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -220,10 +229,21 @@ def test_walk_keeps_sample_sets_and_groups_equal_to_rebuild():
         for ids, pos in ((index.uncovered_ids, index._uncovered_pos), (index.colliding_ids, index._colliding_pos)):
             assert pos == {tid: p for p, tid in enumerate(ids)}
             assert len(pos) == len(ids)
-        assert index._groups == rebuilt._groups
-        # a row set held by one interaction is stored as that bare tid
-        for members in index._groups.values():
-            assert type(members) is int or len(members) >= 2
+        # the groups, decoded from the row sets alone: a row set held by one
+        # interaction maps to its bare tid, one shared by n to n * one + the
+        # XOR of their tids, with one a power of two above every tid
+        assert index.rowsets == rebuilt.rowsets
+        one = 1 << len(index.rowsets).bit_length()
+        holders = {}
+        for tid, rs in enumerate(index.rowsets):
+            if rs:
+                holders.setdefault(rs, []).append(tid)
+        expected = {
+            rs: tids[0] if len(tids) == 1 else len(tids) * one + functools.reduce(operator.xor, tids)
+            for rs, tids in holders.items()
+        }
+        assert index._groups == expected
+        assert rebuilt._groups == expected
 
 
 # --- oracle equivalence with the verifier ---------------------------------------
@@ -280,24 +300,55 @@ def test_capacity_env_rejects_malformed_budget(printer_covering, monkeypatch, te
 
 
 def test_capacity_constant_bounds_measured_footprint():
-    # the guard's per-interaction estimate must not undershoot the running
-    # peak of an annealing run, counted with the catalog and tables its
-    # first build allocates: under churn, group sets never shrink and the
-    # group dict outgrows its live entries.  A quarter of the default
-    # iterations reaches 97-100% of a default run's peak in a quarter of the time.
+    # the guard's per-interaction estimate must not undershoot the peak of
+    # either consumer it admits, counted with the catalog (and, for a run,
+    # the partner tables) its first call allocates: an annealing run, whose
+    # group dict outgrows its live entries under churn, and ``verify``, whose
+    # report on a 0-row array lists every interaction as uncovered.  A
+    # quarter of the default iterations reaches 97-100% of a default run's
+    # peak in a quarter of the time.
     params = AnnealParams(k_max=AnnealParams().k_max // 4)
     for spec, t in (("2^40 3^10", 2), ("2^10 3^2", 3)):
         model = parse_model(spec)
-        for m in (12, 20, 33):
-            build_index(random_array(model, m, random.Random(1)), t)  # one-off allocations outside the run
-            enumerate_interactions.cache_clear()
-            tracemalloc.start()
+        for m in (0, 12, 20, 33):
+            arr = random_array(model, m, random.Random(1))
+            build_index(arr, t)  # one-off allocations outside the measurements
+            runs = {"verify": lambda: verify(arr, t)}
+            if m:
+                runs["sa_run"] = lambda: sa_run(model, t, m, params, random.Random(1))
+            for name, run in runs.items():
+                enumerate_interactions.cache_clear()
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak / interaction_count(model, t) <= _BYTES_PER_INTERACTION, (name, spec, m)
+
+
+def test_default_budget_admits_every_suite_instance_at_t2_and_18_at_t3(monkeypatch):
+    # the gate alone decides, so no catalog is built: the default budget
+    # admits 512 MiB / 360 B, about 1.49 million interactions
+    from locaray.cli import _bundled_suite_text, load_suite
+
+    monkeypatch.delenv("LOCARAY_MEM_BUDGET_MB", raising=False)
+
+    def admitted(t):
+        names = []
+        for name, spec in load_suite(_bundled_suite_text()):
             try:
-                sa_run(model, t, m, params, random.Random(1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak / interaction_count(model, t) <= _BYTES_PER_INTERACTION, (spec, m)
+                check_capacity(parse_model(spec), t)
+            except CapacityError:
+                continue
+            names.append(name)
+        return names
+
+    assert len(admitted(2)) == 35
+    assert admitted(3) == [
+        "bugzilla", "spin-s", "spin-v", "2", "3", "4", "6", "7", "9",
+        "14", "15", "16", "21", "22", "23", "26", "27", "30",
+    ]
 
 
 # --- one (model, t) cache: the catalog and its partner tables ---------------------
