@@ -60,7 +60,10 @@ def _add_run_flags(p, budget: SearchBudget):
         "--workers",
         type=int,
         default=1,
-        help=f"independent runs, at most {MAX_RUNS}, in at most as many processes as CPUs this process may use (default %(default)s)",
+        help=(
+            f"independent runs, at most {MAX_RUNS}, in at most as many processes as CPUs this process may use; "
+            "a single run may use a second process (default %(default)s)"
+        ),
     )
 
 

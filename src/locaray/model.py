@@ -324,13 +324,20 @@ def check_capacity(model: SutModel, t: int) -> None:
     budget in MiB that variable sets, 512 when it is unset.
     """
     check_strength(model, t)
-    text = os.environ.get(MEM_BUDGET_ENV, str(DEFAULT_MEM_BUDGET_MB))
-    if not text.strip().isdecimal():
-        raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
-    budget = int(text)
+    budget = memory_budget_mb()
     n = interaction_count(model, t)
     if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
         raise CapacityError(n, budget)
+
+
+def memory_budget_mb() -> int:
+    """The memory budget in MiB that LOCARAY_MEM_BUDGET_MB sets, 512 when it
+    is unset; ValueError unless it is a non-negative whole number.  Read on
+    every call."""
+    text = os.environ.get(MEM_BUDGET_ENV, str(DEFAULT_MEM_BUDGET_MB))
+    if not text.strip().isdecimal():
+        raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
+    return int(text)
 
 
 class InteractionCatalog:

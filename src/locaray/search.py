@@ -4,12 +4,20 @@
 one loop that only runs probes: ``next_probe``, a pure function of the
 search state and the last outcome, picks each size by the three rules its
 docstring gives (bisect, widen, shrink).  A wall-clock timeout ends the
-search; the smallest array found so far is the result.  ``construct_runs``
-runs independent restarts, in this process or in a process pool.
+search; the smallest array found so far is the result.
+
+Where two CPUs are free, ``construct`` runs the probe that comes next if
+the running one fails in a forked child, on the seed the serial loop would
+give it (speculative computation, Witte, Chamberlain & Franklin, IEEE TPDS
+2(4), 1991): the same sizes, seeds and arrays, in less wall time.
+``construct_runs`` runs independent restarts, in this process or in a
+process pool.
 """
 
+import marshal
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -25,7 +33,15 @@ except ImportError:
         from hashlib import sha256
 
 from .anneal import AnnealParams, sa_run
-from .model import SutModel, TestArray, check_capacity
+from .model import (
+    _BYTES_PER_INTERACTION,
+    SutModel,
+    TestArray,
+    check_capacity,
+    enumerate_interactions,
+    interaction_count,
+    memory_budget_mb,
+)
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -171,8 +187,12 @@ def construct(
     """Construct a small locating array for ``model`` at strength ``t``,
     probing the sizes ``next_probe`` picks.
 
-    Deterministic for a fixed budget seed in this single-process form,
-    provided the timeout never fires.
+    Probe n runs on child seed ``sa:n``.  Where ``_speculates`` allows it,
+    the probe that comes next if probe n fails starts in a forked child
+    just before probe n runs here; it is recorded as probe n+1 if probe n
+    fails, and killed if probe n succeeds or the search ends.  Deterministic
+    for a fixed budget seed, with or without the child, provided the
+    timeout never fires.
     """
     params = params or AnnealParams()
     budget = budget or SearchBudget()
@@ -180,24 +200,57 @@ def construct(
     deadline = started + budget.timeout
     history: list[ProbeRecord] = []
 
+    def run(m: int, n: int) -> tuple[TestArray | None, float]:
+        probe_start = time.monotonic()
+        found = sa_run(model, t, m, params, Random(derive_seed(budget.seed, f"sa:{n}")), deadline)
+        return found, time.monotonic() - probe_start
+
+    def send(m: int, n: int) -> tuple[list[list[int]] | None, float]:
+        found, elapsed = run(m, n)
+        return (None if found is None else found.rows), elapsed
+
     floor, high = initial_bounds(model, t)
     state, size, found = SearchState(floor, high), None, None
     best: TestArray | None = None
     best_at: float | None = None
+    speculate = _speculates(model, t)
+    if speculate:
+        enumerate_interactions(model, t).partners  # built once, here, and inherited by every child
+    child = None  # the probe that comes next if the one running here fails
 
-    while True:
-        state, size = next_probe(state, size, found is not None, floor, budget.max_retries)
-        if size is None or time.monotonic() >= deadline:
-            break
-        probe_start = time.monotonic()
-        # one record per probe, so probe n runs on child seed "sa:n"
-        rng = Random(derive_seed(budget.seed, f"sa:{len(history)}"))
-        found = sa_run(model, t, size, params, rng, deadline)
-        history.append(ProbeRecord(size, found is not None, time.monotonic() - probe_start))
-        if found is not None:
-            best, best_at = found, time.monotonic() - started
-        elif time.monotonic() >= deadline:
-            break  # the failure says nothing about the size
+    try:
+        while True:
+            state, size = next_probe(state, size, found is not None, floor, budget.max_retries)
+            if size is None or time.monotonic() >= deadline:
+                break
+            n = len(history)  # one record per probe
+            # a child still running is probe n, since the last probe failed
+            sent = child.outcome() if child is not None else None
+            child = None
+            if sent is not None:
+                rows, elapsed = sent
+                found = None if rows is None else TestArray(model, rows)
+            else:
+                # no child, or one that exited without its outcome: probe n runs here
+                if speculate:
+                    guess = next_probe(state, size, False, floor, budget.max_retries)[1]
+                    if guess is not None:
+                        try:
+                            child = _ProbeChild(send, guess, n + 1)
+                        except OSError:
+                            pass  # no process to spare: that probe runs here, if it comes
+                found, elapsed = run(size, n)
+                if found is not None and child is not None:
+                    child.close()  # a wrong guess
+                    child = None
+            history.append(ProbeRecord(size, found is not None, elapsed))
+            if found is not None:
+                best, best_at = found, time.monotonic() - started
+            elif time.monotonic() >= deadline:
+                break  # the failure says nothing about the size
+    finally:
+        if child is not None:
+            child.close()
 
     return SearchResult(
         array=best,
@@ -209,6 +262,83 @@ def construct(
     )
 
 
+# True in the workers of construct_runs' pool, which already fill the CPUs it may use
+_in_pool = False
+
+
+def _enter_pool() -> None:
+    global _in_pool
+    _in_pool = True
+
+
+def _usable_cpus() -> int:
+    # the affinity mask, where os has one: under `taskset -c 0` it holds 1 CPU, whatever the host has
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _speculates(model: SutModel, t: int) -> bool:
+    """Whether ``construct`` may run a probe in a forked child: os has
+    ``fork``, this process may use two CPUs, runs one thread (a child of a
+    threaded process may inherit a lock that another thread held) and is
+    no pool worker, and two probes fit the memory budget that
+    ``model.check_capacity`` reads."""
+    threading = sys.modules.get("threading")  # if not imported, no thread was started through it
+    if _in_pool or not hasattr(os, "fork") or _usable_cpus() < 2 or (threading and threading.active_count() > 1):
+        return False
+    try:
+        n, budget = interaction_count(model, t), memory_budget_mb()
+    except ValueError:
+        return False  # the first probe raises it, as it would without a child
+    return 2 * n * _BYTES_PER_INTERACTION <= budget << 20
+
+
+class _ProbeChild:
+    """``send(*args)`` run in a forked child, which writes what it returns,
+    marshalled, to a pipe and exits.  ``outcome()`` waits for that value,
+    or None if the child exited without sending it; ``close()`` kills the
+    child.  Either reaps the child and closes the pipe; ``close()`` may
+    follow either, and does nothing then."""
+
+    def __init__(self, send, *args):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pipe.write(marshal.dumps(send(*args)))
+                code = 0
+            finally:
+                os._exit(code)  # runs none of the parent's cleanup, whatever was raised
+        os.close(write)
+        self.read = read
+
+    def outcome(self):
+        with open(self.read, "rb", closefd=False) as pipe:
+            data = pipe.read()  # to the end: the child has closed its side
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        self.close()
+        return marshal.loads(data) if status == 0 else None
+
+    def close(self) -> None:
+        if self.pid is not None:
+            from signal import SIGKILL  # imported here, as only a construct that forked needs it
+
+            os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.read is not None:
+            os.close(self.read)
+            self.read = None
+
+
 def construct_runs(
     model: SutModel,
     t: int,
@@ -218,8 +348,9 @@ def construct_runs(
 ) -> list[SearchResult]:
     """One ``construct`` per budget, results in budget order.
 
-    Runs in this process when ``workers <= 1``, otherwise in
-    min(workers, CPUs this process may use, number of budgets) processes.
+    Runs in this process when ``workers <= 1``, where each construct may
+    fork one child, otherwise in min(workers, CPUs this process may use,
+    number of budgets) processes, which fork none.
     Every budget runs whatever the pool size, so a capped pool changes only
     the wall time, never the results.  Raises what ``model.check_capacity``
     raises, from this process and before any pool starts.
@@ -227,17 +358,15 @@ def construct_runs(
     check_capacity(model, t)
     if workers <= 1 or not budgets:
         return [construct(model, t, params, budget) for budget in budgets]
-    # the affinity mask, where os has one: under `taskset -c 0` it holds 1 CPU, whatever the host has
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with _process_pool(min(workers, cpus, len(budgets))) as pool:
+    with _process_pool(min(workers, _usable_cpus(), len(budgets)), _enter_pool) as pool:
         return list(pool.map(partial(construct, model, t, params), budgets))
 
 
-def _process_pool(max_workers: int):
+def _process_pool(max_workers: int, initializer):
     # imported here, so that importing locaray loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=max_workers)
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=initializer)
 
 
 def parallel_construct(

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ from locaray import (
 )
 from locaray import search as search_module
 from locaray.search import SearchState, derive_seed, initial_bounds, next_probe
+from tests.conftest import InlineChild
 
 
 # --- the size lower bound -----------------------------------------------------
@@ -118,9 +120,17 @@ class FakeClock:
         return self.now
 
 
+def one_cpu(monkeypatch):
+    """This process may use one CPU, as under `taskset -c 0`: construct forks
+    no child, so a stub sees every probe, in probe order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def run_scripted(monkeypatch, bounds, succeeds, max_retries=3, timeout=60.0):
     """construct over a stubbed sa_run that takes one fake second per probe;
-    ``succeeds(m, n)`` decides the n-th probe (1-based) at size m."""
+    ``succeeds(m, n)`` decides the n-th probe (1-based) at size m.  Serial:
+    a stub call made in a forked child would not count."""
+    one_cpu(monkeypatch)
     clock = FakeClock()
     calls = []
 
@@ -282,6 +292,7 @@ def test_construct_never_probes_below_floor(monkeypatch):
             return outcomes.setdefault(m, rng.random() < 0.5)
 
         with pytest.MonkeyPatch.context() as mp:
+            one_cpu(mp)  # the stub counts calls
             mp.setattr(search_module, "sa_run", make_stub(flaky, calls=calls))
             mp.setattr(search_module, "initial_bounds", lambda model, t: (floor, ceiling))
             budget = SearchBudget(max_retries=rng.randint(1, 4), timeout=60, seed=0)
@@ -302,6 +313,246 @@ def test_construct_time_to_best_is_when_the_best_array_was_found(monkeypatch):
     assert [rec.rows for rec in result.history] == [8, 4, 6, 7, 7, 7, 7]
     assert result.time_to_best == 1.0
     assert result.elapsed == 7.0
+
+
+# --- speculative probes -------------------------------------------------------------
+
+
+class SeededRandom(random.Random):
+    """A Random that keeps its seed, so a stub can tell which probe it runs."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.root = seed
+
+
+PROBE_OF_SEED = {derive_seed(0, f"sa:{n}"): n for n in range(500)}
+
+
+def run_keyed(monkeypatch, bounds, succeeds, max_retries=3, cpus=(0, 1), model=SutModel((2, 2))):
+    """construct, with budget seed 0, over a stub whose outcome is
+    ``succeeds(m, n)`` for size m and probe n (1-based), n read off the
+    probe's seed, never off the order of calls; a serial run with
+    ``cpus=(0,)``."""
+
+    def stub(model, t, m, params, rng, deadline=None):
+        n = PROBE_OF_SEED[rng.root] + 1
+        return TestArray(model, [[0] * model.k] * m) if succeeds(m, n) else None
+
+    monkeypatch.setattr(search_module, "Random", SeededRandom)
+    monkeypatch.setattr(search_module, "sa_run", stub)
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: bounds)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    budget = SearchBudget(max_retries=max_retries, timeout=math.inf, seed=0)
+    return construct(model, 2, budget=budget)
+
+
+def failure_branches(history, bounds, max_retries):
+    """Per probe of ``history``, the size of the probe that would follow it
+    if it failed, or None if none would."""
+    (floor, _), state, size, found, guesses = bounds, SearchState(*bounds), None, False, []
+    for rec in history:
+        state, size = next_probe(state, size, found, floor, max_retries)
+        assert size == rec.rows
+        guesses.append(next_probe(state, size, False, floor, max_retries)[1])
+        found = rec.success
+    return guesses
+
+
+def test_speculative_schedule_equals_the_serial_one(monkeypatch, inline_children):
+    scripts = [
+        (spec["bounds"], spec["succeeds"], spec.get("max_retries", 3))
+        for case, spec in PROBE_LOCK.items()
+        if not case.startswith("deadline-")
+    ]
+    rng = random.Random(22)
+    for _ in range(250):
+        threshold, odds = rng.randint(1, 80), rng.random()
+        flips = [rng.random() < odds for _ in range(len(PROBE_OF_SEED) + 1)]
+        scripts.append((
+            (rng.randint(1, 30), rng.randint(1, 40)),
+            # below the threshold, a coin fixed per probe index
+            lambda m, n, threshold=threshold, flips=flips: m >= threshold or flips[n],
+            rng.randint(1, 4),
+        ))
+    speculated = 0
+    for bounds, succeeds, max_retries in scripts:
+        serial = run_keyed(monkeypatch, bounds, succeeds, max_retries, cpus=(0,))
+        assert inline_children == []
+        result = run_keyed(monkeypatch, bounds, succeeds, max_retries)
+        assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
+        assert (result.rows, result.timed_out) == (serial.rows, serial.timed_out)
+        # a child is forked for the failure branch of each probe run here, none
+        # for a probe a child ran; it is read if that probe fails, else killed
+        guesses, made, here = failure_branches(serial.history, bounds, max_retries), [], 0
+        while here < len(serial.history):
+            if guesses[here] is None:
+                here += 1
+                continue
+            made.append((guesses[here], here + 1, serial.history[here].success))
+            here += 1 if serial.history[here].success else 2
+        assert [(c.size, c.n, c.cancelled) for c in inline_children] == made
+        speculated += len(made)
+        inline_children.clear()
+    assert speculated > len(scripts)
+
+
+def test_the_catalog_and_partner_tables_are_built_before_the_first_child(monkeypatch):
+    model = parse_model("2^6 3^3")
+    warm = []
+
+    def make(send, size, n):
+        cached = locaray.model.enumerate_interactions.cache_info().currsize == 1
+        warm.append(cached and "partners" in vars(locaray.model.enumerate_interactions(model, 2)))
+        return InlineChild(send, size, n)
+
+    monkeypatch.setattr(search_module, "_ProbeChild", make)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    locaray.model.enumerate_interactions.cache_clear()
+    construct(model, 2, budget=SearchBudget(timeout=60, seed=1))
+    assert warm and all(warm)
+
+
+def test_a_child_is_forked_only_when_two_probes_fit_the_budget(monkeypatch, inline_children):
+    # 2^30 at t=2: 1740 interactions, 626,400 B at 360 B each; one probe
+    # fits 1 MiB, two do not, and two fit 2 MiB
+    model = parse_model("2^30")
+    one = locaray.interaction_count(model, 2) * locaray.model._BYTES_PER_INTERACTION
+    assert one <= 1 << 20 < 2 * one <= 2 << 20
+    script = dict(bounds=(1, 31), succeeds=lambda m, n: m >= 13, model=model)
+    for budget_mb, forks in (("1", False), ("2", True)):
+        monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", budget_mb)
+        result = run_keyed(monkeypatch, **script)
+        serial = run_keyed(monkeypatch, cpus=(0,), **script)
+        assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
+        assert bool(inline_children) is forks
+        inline_children.clear()
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of every real child ``construct`` forks; this process may use 2 CPUs."""
+    pids = []
+
+    class Spy(search_module._ProbeChild):
+        def __init__(self, *args):
+            super().__init__(*args)  # returns in the parent only
+            pids.append(self.pid)
+
+    monkeypatch.setattr(search_module, "_ProbeChild", Spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def stub_in(parent_probe, child_probe):
+    """An sa_run that calls ``parent_probe(m)`` in this process and
+    ``child_probe(m)`` in a forked child; each returns whether m succeeds."""
+    parent = os.getpid()
+
+    def stub(model, t, m, params, rng, deadline=None):
+        succeeds = parent_probe(m) if os.getpid() == parent else child_probe(m)
+        return TestArray(model, [[0, 0]] * m) if succeeds else None
+
+    return stub
+
+
+def sleep_then_fail(m):
+    time.sleep(60)
+    return False
+
+
+@needs_fork
+def test_a_wrong_guess_is_killed_at_once(monkeypatch, forked):
+    # the bisect case of the probe lock: the first probe, at 16, succeeds,
+    # and the child that guessed it would fail runs 24 and sleeps; the
+    # children of later probes run 15 or less and answer at once
+    monkeypatch.setattr(
+        search_module, "sa_run", stub_in(lambda m: m >= 13, lambda m: sleep_then_fail(m) if m >= 20 else m >= 13)
+    )
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 31))
+    started = time.monotonic()
+    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=600, seed=0))
+    assert time.monotonic() - started < 30
+    assert [(rec.rows, int(rec.success)) for rec in result.history] == PROBE_LOCK["bisect"]["history"]
+    assert len(forked) > 1
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_probe_that_raises_leaves_no_child(monkeypatch, forked, error):
+    def raises(m):
+        raise error("probe")
+
+    monkeypatch.setattr(search_module, "sa_run", stub_in(raises, sleep_then_fail))
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 31))
+    started = time.monotonic()
+    with pytest.raises(error):
+        construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=600, seed=0))
+    assert time.monotonic() - started < 30
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_child_that_dies_is_run_here(monkeypatch, forked):
+    def dies(m):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    calls = []
+
+    def here(m):
+        calls.append(m)
+        return m >= 13
+
+    monkeypatch.setattr(search_module, "sa_run", stub_in(here, dies))
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 31))
+    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=600, seed=0))
+    # the bisect case of the probe lock, every probe run here
+    expected = PROBE_LOCK["bisect"]["history"]
+    assert [(rec.rows, int(rec.success)) for rec in result.history] == expected
+    assert calls == [m for m, _ in expected]
+    assert result.rows == 13
+    assert forked
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_forked_construct_gives_the_serial_arrays(monkeypatch, forked):
+    model = parse_model("2^6 3^3")
+    budget = SearchBudget(timeout=600, seed=1)
+    result = construct(model, 2, budget=budget)
+    forks = len(forked)
+    assert forks
+    assert_no_child_left()
+    one_cpu(monkeypatch)
+    serial = construct(model, 2, budget=budget)
+    assert len(forked) == forks
+    assert locaray.format_array(result.array, 2) == locaray.format_array(serial.array, 2)
+    assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
+
+
+def test_a_failed_fork_runs_every_probe_here(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = []
+    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: m >= 13, calls))
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 31))
+    result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=600, seed=0))
+    expected = PROBE_LOCK["bisect"]["history"]
+    assert [(rec.rows, int(rec.success)) for rec in result.history] == expected
+    assert calls == [m for m, _ in expected]
 
 
 # --- real constructs, seeds and budgets -------------------------------------------
@@ -455,6 +706,20 @@ def test_construct_runs_returns_one_result_per_budget_in_order(inline_pools):
         alone = construct(model, 2, AnnealParams(), budget)
         assert a.array == b.array == alone.array
         assert [(r.rows, r.success) for r in a.history] == [(r.rows, r.success) for r in alone.history]
+
+
+def test_pool_workers_never_speculate(inline_pools, inline_children):
+    model = parse_model("2^4")
+    budgets = [SearchBudget(timeout=60, seed=seed) for seed in (1, 2)]
+    serial = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=1)
+    assert inline_children  # each construct in this process may use one child
+    inline_children.clear()
+    pooled = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=2)
+    assert [pool.max_workers for pool in inline_pools] == [2]
+    assert inline_children == []
+    for a, b in zip(serial, pooled):
+        assert a.array == b.array
+        assert [(r.rows, r.success) for r in a.history] == [(r.rows, r.success) for r in b.history]
 
 
 def test_construct_runs_forks_no_more_processes_than_budgets(inline_pools):
