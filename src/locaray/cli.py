@@ -62,7 +62,7 @@ def _add_run_flags(p, budget: SearchBudget):
         default=1,
         help=(
             f"independent runs, at most {MAX_RUNS}, in at most as many processes as CPUs this process may use; "
-            "a single run may use a second process (default %(default)s)"
+            "a pool starts only for two or more; a run in this process may fork one child process (default %(default)s)"
         ),
     )
 

@@ -39,13 +39,14 @@ before anything of that size is built.
 ``check_capacity`` is the one gate in front of every structure that holds
 a row set per interaction, the coverage index and ``verify``: it checks
 the strength (1..k, through ``check_strength``, the one 1..k check on a
-model, which ``locate_fault`` and the CLI also use) and compares |I_t|
-with the memory budget, 512 MiB unless ``LOCARAY_MEM_BUDGET_MB`` says
-otherwise, raising ``CapacityError``.
+model, which ``locate_fault`` and the CLI also use) and compares |I_t|,
+times the number of probes held at once, with the memory budget, 512 MiB
+unless ``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.
 |I_t| is memoized for the last (model, t), but the budget is read on every
 call, so a lowered budget still refuses.  The CLI calls it too, in its own
 process before any file, pool or search, and so does
-``search.construct_runs`` before it starts a pool.
+``search.construct_runs`` before it starts a pool; a construct asks it,
+with ``probes=2``, whether it may fork a child for its next probe.
 
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,
@@ -316,28 +317,25 @@ def check_strength(model: SutModel, t: int) -> None:
         raise ValueError(f"strength must lie in 1..{model.k}")
 
 
-def check_capacity(model: SutModel, t: int) -> None:
-    """The gate before a row set is held per strength-t interaction.
+def check_capacity(model: SutModel, t: int, probes: int = 1) -> None:
+    """The gate before ``probes`` structures, each holding a row set per
+    strength-t interaction, are held at once: 1 for an index or ``verify``,
+    2 for a construct that forks a child for its next probe.
 
-    Raises ValueError for a strength outside 1..k or a malformed
-    LOCARAY_MEM_BUDGET_MB, and CapacityError when |I_t| would not fit the
-    budget in MiB that variable sets, 512 when it is unset.
+    Raises ValueError for a strength outside 1..k or for a
+    LOCARAY_MEM_BUDGET_MB that is not a non-negative whole number, and
+    CapacityError when ``probes`` times |I_t| would not fit the budget in
+    MiB that variable sets, 512 when it is unset.  The budget is read on
+    every call.
     """
     check_strength(model, t)
-    budget = memory_budget_mb()
-    n = interaction_count(model, t)
-    if n * _BYTES_PER_INTERACTION > budget * (1 << 20):
-        raise CapacityError(n, budget)
-
-
-def memory_budget_mb() -> int:
-    """The memory budget in MiB that LOCARAY_MEM_BUDGET_MB sets, 512 when it
-    is unset; ValueError unless it is a non-negative whole number.  Read on
-    every call."""
     text = os.environ.get(MEM_BUDGET_ENV, str(DEFAULT_MEM_BUDGET_MB))
     if not text.strip().isdecimal():
         raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
-    return int(text)
+    budget = int(text)
+    n = interaction_count(model, t)
+    if probes * n * _BYTES_PER_INTERACTION > budget << 20:
+        raise CapacityError(n, budget)
 
 
 class InteractionCatalog:

@@ -33,15 +33,7 @@ except ImportError:
         from hashlib import sha256
 
 from .anneal import AnnealParams, sa_run
-from .model import (
-    _BYTES_PER_INTERACTION,
-    SutModel,
-    TestArray,
-    check_capacity,
-    enumerate_interactions,
-    interaction_count,
-    memory_budget_mb,
-)
+from .model import CapacityError, SutModel, TestArray, check_capacity, enumerate_interactions
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -200,17 +192,14 @@ def construct(
     deadline = started + budget.timeout
     history: list[ProbeRecord] = []
 
-    def run(m: int, n: int) -> tuple[TestArray | None, float]:
+    def run(m: int, n: int) -> tuple[list[list[int]] | None, float]:
+        # the outcome of probe n at size m, here or in a child: its rows, or None, and its time
         probe_start = time.monotonic()
         found = sa_run(model, t, m, params, Random(derive_seed(budget.seed, f"sa:{n}")), deadline)
-        return found, time.monotonic() - probe_start
-
-    def send(m: int, n: int) -> tuple[list[list[int]] | None, float]:
-        found, elapsed = run(m, n)
-        return (None if found is None else found.rows), elapsed
+        return (None if found is None else found.rows), time.monotonic() - probe_start
 
     floor, high = initial_bounds(model, t)
-    state, size, found = SearchState(floor, high), None, None
+    state, size, rows = SearchState(floor, high), None, None
     best: TestArray | None = None
     best_at: float | None = None
     speculate = _speculates(model, t)
@@ -220,32 +209,30 @@ def construct(
 
     try:
         while True:
-            state, size = next_probe(state, size, found is not None, floor, budget.max_retries)
+            state, size = next_probe(state, size, rows is not None, floor, budget.max_retries)
             if size is None or time.monotonic() >= deadline:
                 break
             n = len(history)  # one record per probe
             # a child still running is probe n, since the last probe failed
-            sent = child.outcome() if child is not None else None
+            outcome = child.outcome() if child is not None else None
             child = None
-            if sent is not None:
-                rows, elapsed = sent
-                found = None if rows is None else TestArray(model, rows)
-            else:
+            if outcome is None:
                 # no child, or one that exited without its outcome: probe n runs here
                 if speculate:
                     guess = next_probe(state, size, False, floor, budget.max_retries)[1]
                     if guess is not None:
                         try:
-                            child = _ProbeChild(send, guess, n + 1)
+                            child = _ProbeChild(run, guess, n + 1)
                         except OSError:
                             pass  # no process to spare: that probe runs here, if it comes
-                found, elapsed = run(size, n)
-                if found is not None and child is not None:
+                outcome = run(size, n)
+                if outcome[0] is not None and child is not None:
                     child.close()  # a wrong guess
                     child = None
-            history.append(ProbeRecord(size, found is not None, elapsed))
-            if found is not None:
-                best, best_at = found, time.monotonic() - started
+            rows, elapsed = outcome
+            history.append(ProbeRecord(size, rows is not None, elapsed))
+            if rows is not None:
+                best, best_at = TestArray(model, rows), time.monotonic() - started
             elif time.monotonic() >= deadline:
                 break  # the failure says nothing about the size
     finally:
@@ -280,26 +267,26 @@ def _speculates(model: SutModel, t: int) -> bool:
     """Whether ``construct`` may run a probe in a forked child: os has
     ``fork``, this process may use two CPUs, runs one thread (a child of a
     threaded process may inherit a lock that another thread held) and is
-    no pool worker, and two probes fit the memory budget that
-    ``model.check_capacity`` reads."""
+    no pool worker, and two probes fit the memory budget:
+    ``check_capacity(model, t, probes=2)`` passes."""
     threading = sys.modules.get("threading")  # if not imported, no thread was started through it
     if _in_pool or not hasattr(os, "fork") or _usable_cpus() < 2 or (threading and threading.active_count() > 1):
         return False
     try:
-        n, budget = interaction_count(model, t), memory_budget_mb()
-    except ValueError:
-        return False  # the first probe raises it, as it would without a child
-    return 2 * n * _BYTES_PER_INTERACTION <= budget << 20
+        check_capacity(model, t, probes=2)
+    except (ValueError, CapacityError):
+        return False  # the first probe raises what it must, as it would without a child
+    return True
 
 
 class _ProbeChild:
-    """``send(*args)`` run in a forked child, which writes what it returns,
+    """``probe(*args)`` run in a forked child, which writes what it returns,
     marshalled, to a pipe and exits.  ``outcome()`` waits for that value,
     or None if the child exited without sending it; ``close()`` kills the
     child.  Either reaps the child and closes the pipe; ``close()`` may
     follow either, and does nothing then."""
 
-    def __init__(self, send, *args):
+    def __init__(self, probe, *args):
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -312,7 +299,7 @@ class _ProbeChild:
             try:
                 os.close(read)
                 with open(write, "wb") as pipe:
-                    pipe.write(marshal.dumps(send(*args)))
+                    pipe.write(marshal.dumps(probe(*args)))
                 code = 0
             finally:
                 os._exit(code)  # runs none of the parent's cleanup, whatever was raised
@@ -348,17 +335,18 @@ def construct_runs(
 ) -> list[SearchResult]:
     """One ``construct`` per budget, results in budget order.
 
-    Runs in this process when ``workers <= 1``, where each construct may
-    fork one child, otherwise in min(workers, CPUs this process may use,
-    number of budgets) processes, which fork none.
+    Runs in min(workers, CPUs this process may use, number of budgets)
+    processes: in this process when that is 1 or less, where each construct
+    may fork one child, otherwise in a pool whose workers fork none.
     Every budget runs whatever the pool size, so a capped pool changes only
     the wall time, never the results.  Raises what ``model.check_capacity``
     raises, from this process and before any pool starts.
     """
     check_capacity(model, t)
-    if workers <= 1 or not budgets:
+    size = min(workers, _usable_cpus(), len(budgets))
+    if size <= 1:
         return [construct(model, t, params, budget) for budget in budgets]
-    with _process_pool(min(workers, _usable_cpus(), len(budgets)), _enter_pool) as pool:
+    with _process_pool(size, _enter_pool) as pool:
         return list(pool.map(partial(construct, model, t, params), budgets))
 
 
@@ -377,7 +365,7 @@ def parallel_construct(
     workers: int = 1,
 ) -> SearchResult:
     """``workers`` independent restarts, run in at most as many processes
-    as there are CPUs this process may use; smallest verified-size result
+    as there are CPUs this process may use; the result with the fewest rows
     wins, ties broken toward the lowest worker index.  Worker i runs a
     normal construct with child seed derive_seed(seed, "worker:i")."""
     params = params or AnnealParams()

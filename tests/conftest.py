@@ -93,13 +93,13 @@ class InlineChild:
     outcome for ``outcome()``.  ``cancelled`` is set by ``close()``, which
     construct calls only on a child whose outcome it did not read."""
 
-    def __init__(self, send, size, n):
+    def __init__(self, probe, size, n):
         self.size, self.n = size, n
-        self.sent = send(size, n)
+        self.ran = probe(size, n)
         self.cancelled = False
 
     def outcome(self):
-        return self.sent
+        return self.ran
 
     def close(self):
         self.cancelled = True
@@ -111,8 +111,8 @@ def inline_children(monkeypatch):
     ``InlineChild``; this process may use 2 CPUs, so it speculates."""
     children = []
 
-    def make(send, size, n):
-        children.append(InlineChild(send, size, n))
+    def make(probe, size, n):
+        children.append(InlineChild(probe, size, n))
         return children[-1]
 
     monkeypatch.setattr(locaray.search, "_ProbeChild", make)

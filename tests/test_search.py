@@ -401,10 +401,10 @@ def test_the_catalog_and_partner_tables_are_built_before_the_first_child(monkeyp
     model = parse_model("2^6 3^3")
     warm = []
 
-    def make(send, size, n):
+    def make(probe, size, n):
         cached = locaray.model.enumerate_interactions.cache_info().currsize == 1
         warm.append(cached and "partners" in vars(locaray.model.enumerate_interactions(model, 2)))
-        return InlineChild(send, size, n)
+        return InlineChild(probe, size, n)
 
     monkeypatch.setattr(search_module, "_ProbeChild", make)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -427,6 +427,18 @@ def test_a_child_is_forked_only_when_two_probes_fit_the_budget(monkeypatch, inli
         assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
         assert bool(inline_children) is forks
         inline_children.clear()
+
+
+def test_a_refused_gate_forks_no_child(monkeypatch, inline_children):
+    # _speculates says no, and the first probe's index build raises what the gate raises
+    model = parse_model("2^4")
+    for budget_mb, error in (("abc", ValueError), ("0", locaray.CapacityError)):
+        monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", budget_mb)
+        assert not search_module._speculates(model, 2)
+        with pytest.raises(error) as exc_info:
+            construct(model, 2, budget=SearchBudget(timeout=60, seed=1))
+        assert "LOCARAY_MEM_BUDGET_MB" in str(exc_info.value)
+        assert inline_children == []
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -666,7 +678,7 @@ def test_pool_is_sized_by_the_cpus_this_process_may_use(inline_pools, monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     search_module.parallel_construct(parse_model("2^3"), 2, AnnealParams(), SearchBudget(timeout=60, seed=4), workers=5)
-    assert [(pool.max_workers, len(pool.jobs)) for pool in inline_pools] == [(1, 5)]
+    assert inline_pools == []  # one usable CPU: the five restarts run in this process
 
 
 def test_pool_falls_back_to_the_cpu_count_without_an_affinity_mask(inline_pools, monkeypatch):
@@ -675,7 +687,7 @@ def test_pool_falls_back_to_the_cpu_count_without_an_affinity_mask(inline_pools,
     for count in (3, None):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         search_module.construct_runs(parse_model("2^3"), 2, AnnealParams(), budgets, workers=5)
-    assert [pool.max_workers for pool in inline_pools] == [3, 1]
+    assert [pool.max_workers for pool in inline_pools] == [3]  # no count: one CPU, no pool
 
 
 def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monkeypatch):
@@ -725,9 +737,22 @@ def test_pool_workers_never_speculate(inline_pools, inline_children):
 def test_construct_runs_forks_no_more_processes_than_budgets(inline_pools):
     model = parse_model("2^3")
     budget = SearchBudget(timeout=60, seed=5)
-    (pooled,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=2)
-    assert [pool.max_workers for pool in inline_pools] == [1]
-    assert pooled.array == construct(model, 2, AnnealParams(), budget).array
+    (lone,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=2)
+    assert inline_pools == []
+    assert lone.array == construct(model, 2, AnnealParams(), budget).array
+
+
+def test_a_lone_run_starts_no_pool_and_forks_its_child(inline_pools, inline_children):
+    # a pool of one would only cost a process, and its worker may not speculate
+    model = parse_model("2^4")
+    budget = SearchBudget(timeout=60, seed=1)
+    (one,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=1)
+    inline_children.clear()
+    (two,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=2)
+    assert inline_pools == []
+    assert inline_children
+    assert two.array == one.array
+    assert [(r.rows, r.success) for r in two.history] == [(r.rows, r.success) for r in one.history]
 
 
 def test_importing_locaray_loads_no_process_pool():
