@@ -6,10 +6,12 @@ search state and the last outcome, picks each size by the three rules its
 docstring gives (bisect, widen, shrink).  A wall-clock timeout ends the
 search; the smallest array found so far is the result.
 
-Where two CPUs are free, ``construct`` runs the probe that comes next if
-the running one fails in a forked child, on the seed the serial loop would
-give it (speculative computation, Witte, Chamberlain & Franklin, IEEE TPDS
-2(4), 1991): the same sizes, seeds and arrays, in less wall time.
+Where two CPUs are free, one forked child runs probes beside the parent
+(speculative computation, Witte, Chamberlain & Franklin, IEEE TPDS 2(4),
+1991).  Both run one worker loop: each claims the first probe of the path
+that nobody holds, taking a probe the other is running as failed, and runs
+it on the seed the serial loop would give it, so neither idles while the
+path has a free probe: the same sizes, seeds and arrays, in less wall time.
 ``construct_runs`` runs independent restarts, in this process or in a
 process pool.
 """
@@ -21,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import count
 from random import Random
 from typing import NamedTuple
 
@@ -170,6 +173,22 @@ def next_probe(
     return SearchState(low, high, best, failures), size
 
 
+def _path(known: dict, floor: int, high: int, max_retries: int):
+    """Yield (size, n) for each probe of the search in turn, as
+    ``next_probe`` picks it from ``SearchState(floor, high)``, when probe n
+    at size m has the outcome in ``known[m, n]``, its rows first (None if it
+    failed), and every probe missing from ``known`` fails.  While probes are
+    missing the path need not end: a search that finds nothing widens
+    without end."""
+    state, size, found = SearchState(floor, high), None, False
+    for n in count():
+        state, size = next_probe(state, size, found, floor, max_retries)
+        if size is None:
+            return
+        yield size, n
+        found = known.get((size, n), (None,))[0] is not None
+
+
 def construct(
     model: SutModel,
     t: int,
@@ -179,71 +198,97 @@ def construct(
     """Construct a small locating array for ``model`` at strength ``t``,
     probing the sizes ``next_probe`` picks.
 
-    Probe n runs on child seed ``sa:n``.  Where ``_speculates`` allows it,
-    the probe that comes next if probe n fails starts in a forked child
-    just before probe n runs here; it is recorded as probe n+1 if probe n
-    fails, and killed if probe n succeeds or the search ends.  Deterministic
-    for a fixed budget seed, with or without the child, provided the
-    timeout never fires.
+    Probe n runs on child seed ``sa:n``, so its outcome does not depend on
+    the process that runs it.  Probes run in one worker loop, ``work``:
+    before each probe a worker reads what its peer has sent, walks the path
+    of ``_path`` over the outcomes it knows, taking a probe its peer is
+    running as failed, and claims the first probe on it that no worker
+    holds; it waits for its peer only when the path has no such probe.
+    Where ``_speculates`` allows it, one forked child runs the loop beside
+    this process, which stays a worker too, and is killed once the path is
+    complete.  Alone, on one CPU or once the child has exited, the loop
+    runs the probes of the path one after another.  The result is read off
+    the path, so it is deterministic for a fixed budget seed, with or
+    without the child, provided the timeout never fires.
     """
     params = params or AnnealParams()
     budget = budget or SearchBudget()
     started = time.monotonic()
     deadline = started + budget.timeout
-    history: list[ProbeRecord] = []
-
-    def run(m: int, n: int) -> tuple[list[list[int]] | None, float]:
-        # the outcome of probe n at size m, here or in a child: its rows, or None, and its time
-        probe_start = time.monotonic()
-        found = sa_run(model, t, m, params, Random(derive_seed(budget.seed, f"sa:{n}")), deadline)
-        return (None if found is None else found.rows), time.monotonic() - probe_start
-
     floor, high = initial_bounds(model, t)
-    state, size, rows = SearchState(floor, high), None, None
-    best: TestArray | None = None
-    best_at: float | None = None
-    speculate = _speculates(model, t)
-    if speculate:
-        enumerate_interactions(model, t).partners  # built once, here, and inherited by every child
-    child = None  # the probe that comes next if the one running here fails
 
-    try:
+    def path(known):
+        return _path(known, floor, high, budget.max_retries)
+
+    def work(peer, known, child=False):
+        # probe until the path is complete or the deadline has passed, keeping
+        # each outcome in known: (size, n) -> (rows or None, start, elapsed)
+        held = {}  # (size, n) -> start, of each probe the peer has claimed and not reported
+        wait = child  # a child first waits for its parent's first claim, so they never start on one probe
         while True:
-            state, size = next_probe(state, size, rows is not None, floor, budget.max_retries)
-            if size is None or time.monotonic() >= deadline:
-                break
-            n = len(history)  # one record per probe
-            # a child still running is probe n, since the last probe failed
-            outcome = child.outcome() if child is not None else None
-            child = None
-            if outcome is None:
-                # no child, or one that exited without its outcome: probe n runs here
-                if speculate:
-                    guess = next_probe(state, size, False, floor, budget.max_retries)[1]
-                    if guess is not None:
-                        try:
-                            child = _ProbeChild(run, guess, n + 1)
-                        except OSError:
-                            pass  # no process to spare: that probe runs here, if it comes
-                outcome = run(size, n)
-                if outcome[0] is not None and child is not None:
-                    child.close()  # a wrong guess
-                    child = None
-            rows, elapsed = outcome
-            history.append(ProbeRecord(size, rows is not None, elapsed))
-            if rows is not None:
-                best, best_at = TestArray(model, rows), time.monotonic() - started
-            elif time.monotonic() >= deadline:
-                break  # the failure says nothing about the size
-    finally:
-        if child is not None:
-            child.close()
+            if peer is not None:
+                for size, n, *message in peer.receive(wait):
+                    if len(message) == 1:  # a claim, with the time the probe started
+                        held[size, n] = message[0]
+                    else:  # an outcome: rows or None, and elapsed
+                        known.setdefault((size, n), (message[0], held.pop((size, n)), message[1]))
+            free = next((key for key in path(known) if key not in known and key not in held), None)
+            if free is None and all(key in known for key in path(known)):
+                return  # the path is complete
+            if time.monotonic() >= deadline:
+                return
+            wait = free is None  # every probe left on the path is the peer's
+            if wait:
+                continue
+            size, n = free
+            start = time.monotonic()
+            if peer is not None:
+                peer.send((size, n, start))
+            found = sa_run(model, t, size, params, Random(derive_seed(budget.seed, f"sa:{n}")), deadline)
+            rows = None if found is None else found.rows
+            elapsed = time.monotonic() - start
+            known[free] = rows, start, elapsed
+            if peer is not None:
+                # only a parent needs the arrays; sending its child none keeps its
+                # messages so small that it never blocks on a write
+                peer.send((size, n, rows if child or rows is None else True, elapsed))
+            if rows is None and start + elapsed >= deadline:
+                return  # the failure says nothing about the size
 
+    known = {}
+    peer = None
+    if _speculates(model, t):
+        enumerate_interactions(model, t).partners  # built once, here, and inherited by the child
+        try:
+            peer = _Peer(partial(work, known={}, child=True))
+        except OSError:
+            pass  # no process to spare: every probe runs here
+    try:
+        try:
+            work(peer, known)
+        except _PeerGone:
+            work(None, known)  # the child has exited: the probes it held run here
+    finally:
+        if peer is not None:
+            peer.close()
+
+    history, best, best_at, timed_out = [], None, None, False
+    for size, n in path(known):
+        if (size, n) not in known:
+            timed_out = True  # the deadline cut the search with a size left to probe
+            break
+        rows, start, elapsed = known[size, n]
+        history.append(ProbeRecord(size, rows is not None, elapsed))
+        if rows is not None:
+            best, best_at = TestArray(model, rows), start + elapsed - started
+        elif start + elapsed >= deadline:
+            timed_out = True  # the failure says nothing about the size
+            break
     return SearchResult(
         array=best,
         rows=best.m if best is not None else None,
         history=history,
-        timed_out=size is not None,  # the deadline cut the search with a size left to probe
+        timed_out=timed_out,
         elapsed=time.monotonic() - started,
         time_to_best=best_at,
     )
@@ -264,11 +309,12 @@ def _usable_cpus() -> int:
 
 
 def _speculates(model: SutModel, t: int) -> bool:
-    """Whether ``construct`` may run a probe in a forked child: os has
-    ``fork``, this process may use two CPUs, runs one thread (a child of a
-    threaded process may inherit a lock that another thread held) and is
-    no pool worker, and two probes fit the memory budget:
-    ``check_capacity(model, t, probes=2)`` passes."""
+    """Whether ``construct`` may fork a child that runs probes beside this
+    process: os has ``fork``, this process may use two CPUs, runs one
+    thread (a child of a threaded process may inherit a lock that another
+    thread held) and is no pool worker, and two probes, one in each
+    process, fit the memory budget: ``check_capacity(model, t, probes=2)``
+    passes."""
     threading = sys.modules.get("threading")  # if not imported, no thread was started through it
     if _in_pool or not hasattr(os, "fork") or _usable_cpus() < 2 or (threading and threading.active_count() > 1):
         return False
@@ -279,40 +325,74 @@ def _speculates(model: SutModel, t: int) -> bool:
     return True
 
 
-class _ProbeChild:
-    """``probe(*args)`` run in a forked child, which writes what it returns,
-    marshalled, to a pipe and exits.  ``outcome()`` waits for that value,
-    or None if the child exited without sending it; ``close()`` kills the
-    child.  Either reaps the child and closes the pipe; ``close()`` may
-    follow either, and does nothing then."""
+class _PeerGone(Exception):
+    """The other worker of a construct has exited or closed its pipes."""
 
-    def __init__(self, probe, *args):
-        read, write = os.pipe()
+
+class _Peer:
+    """The other worker of a construct.  In the parent, ``_Peer(work)``
+    forks a child that calls ``work`` with its own ``_Peer`` for the parent
+    and exits when that returns or raises.  Messages are marshalled tuples,
+    each framed by its length, over one pipe each way.  ``receive`` raises
+    ``_PeerGone`` once it has read all that the other side sent before it
+    closed its end; in the child, ``send`` raises it too, so a child whose
+    parent has died exits at its next probe boundary.  In the parent,
+    ``close()`` kills and reaps the child and closes the pipes; it does
+    nothing the second time."""
+
+    def __init__(self, work):
+        down, up = os.pipe(), os.pipe()  # parent to child, child to parent
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:
-            os.close(read)
-            os.close(write)
+            for fd in (*down, *up):
+                os.close(fd)
             raise
-        if self.pid == 0:
-            code = 1
+        self.buffer = b""
+        if pid == 0:
             try:
-                os.close(read)
-                with open(write, "wb") as pipe:
-                    pipe.write(marshal.dumps(probe(*args)))
-                code = 0
+                os.close(down[1])
+                os.close(up[0])
+                self.pid, self.read, self.write = None, down[0], up[1]
+                work(self)
             finally:
-                os._exit(code)  # runs none of the parent's cleanup, whatever was raised
-        os.close(write)
-        self.read = read
+                os._exit(0)  # runs none of the parent's cleanup, whatever was raised
+        os.close(down[0])
+        os.close(up[1])
+        self.pid, self.read, self.write = pid, up[0], down[1]
 
-    def outcome(self):
-        with open(self.read, "rb", closefd=False) as pipe:
-            data = pipe.read()  # to the end: the child has closed its side
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        self.close()
-        return marshal.loads(data) if status == 0 else None
+    def receive(self, wait: bool) -> list[tuple]:
+        """The messages the peer has sent since the last call; if ``wait``,
+        blocks until there is one."""
+        messages = []
+        while True:
+            os.set_blocking(self.read, wait and not messages)
+            try:
+                data = os.read(self.read, 1 << 16)
+            except BlockingIOError:
+                return messages  # nothing more to read now
+            if not data:
+                if messages:
+                    return messages  # the next call raises
+                raise _PeerGone
+            self.buffer += data
+            while len(self.buffer) >= 4:
+                end = 4 + int.from_bytes(self.buffer[:4], "little")
+                if len(self.buffer) < end:
+                    break
+                messages.append(marshal.loads(self.buffer[4:end]))
+                self.buffer = self.buffer[end:]
+
+    def send(self, message: tuple) -> None:
+        data = marshal.dumps(message)
+        data = len(data).to_bytes(4, "little") + data
+        try:
+            while data:
+                data = data[os.write(self.write, data):]
+        except BrokenPipeError:
+            if self.pid is None:
+                raise _PeerGone from None  # the parent has died: its child stops here
+            # the child has exited: receive reads what it sent before, then raises
 
     def close(self) -> None:
         if self.pid is not None:
@@ -321,9 +401,10 @@ class _ProbeChild:
             os.kill(self.pid, SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        if self.read is not None:
-            os.close(self.read)
-            self.read = None
+        for fd in (self.read, self.write):
+            if fd is not None:
+                os.close(fd)
+        self.read = self.write = None
 
 
 def construct_runs(

@@ -22,7 +22,7 @@ from locaray import (
 )
 from locaray import search as search_module
 from locaray.search import SearchState, derive_seed, initial_bounds, next_probe
-from tests.conftest import InlineChild
+from tests.conftest import Turns
 
 
 # --- the size lower bound -----------------------------------------------------
@@ -329,37 +329,35 @@ class SeededRandom(random.Random):
 PROBE_OF_SEED = {derive_seed(0, f"sa:{n}"): n for n in range(500)}
 
 
-def run_keyed(monkeypatch, bounds, succeeds, max_retries=3, cpus=(0, 1), model=SutModel((2, 2))):
+def run_keyed(monkeypatch, bounds, succeeds, max_retries=3, cpus=(0, 1), model=SutModel((2, 2)), seconds=lambda m, n: 1.0):
     """construct, with budget seed 0, over a stub whose outcome is
     ``succeeds(m, n)`` for size m and probe n (1-based), n read off the
-    probe's seed, never off the order of calls; a serial run with
-    ``cpus=(0,)``."""
+    probe's seed, never off the order of calls, and which takes
+    ``seconds(m, n)`` (default 1) on the clock of a fresh ``Turns``, which
+    stands in for the child; serial with ``cpus=(0,)``.  Returns the
+    result and the ``Turns``."""
+    turns = Turns()
+    turns.path = lambda known: search_module._path(known, *bounds, max_retries)
 
     def stub(model, t, m, params, rng, deadline=None):
         n = PROBE_OF_SEED[rng.root] + 1
-        return TestArray(model, [[0] * model.k] * m) if succeeds(m, n) else None
+        found = succeeds(m, n)
+        turns.probe(m, n - 1, seconds(m, n), found)
+        return TestArray(model, [[0] * model.k] * m) if found else None
 
+    monkeypatch.setattr(search_module, "time", turns)
+    monkeypatch.setattr(search_module, "_Peer", turns.spawn)
     monkeypatch.setattr(search_module, "Random", SeededRandom)
     monkeypatch.setattr(search_module, "sa_run", stub)
     monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: bounds)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
     budget = SearchBudget(max_retries=max_retries, timeout=math.inf, seed=0)
-    return construct(model, 2, budget=budget)
+    result = construct(model, 2, budget=budget)
+    assert turns.errors == []
+    return result, turns
 
 
-def failure_branches(history, bounds, max_retries):
-    """Per probe of ``history``, the size of the probe that would follow it
-    if it failed, or None if none would."""
-    (floor, _), state, size, found, guesses = bounds, SearchState(*bounds), None, False, []
-    for rec in history:
-        state, size = next_probe(state, size, found, floor, max_retries)
-        assert size == rec.rows
-        guesses.append(next_probe(state, size, False, floor, max_retries)[1])
-        found = rec.success
-    return guesses
-
-
-def test_speculative_schedule_equals_the_serial_one(monkeypatch, inline_children):
+def test_speculative_schedule_equals_the_serial_one(monkeypatch):
     scripts = [
         (spec["bounds"], spec["succeeds"], spec.get("max_retries", 3))
         for case, spec in PROBE_LOCK.items()
@@ -375,61 +373,61 @@ def test_speculative_schedule_equals_the_serial_one(monkeypatch, inline_children
             lambda m, n, threshold=threshold, flips=flips: m >= threshold or flips[n],
             rng.randint(1, 4),
         ))
-    speculated = 0
+    by_child = waited = 0
     for bounds, succeeds, max_retries in scripts:
-        serial = run_keyed(monkeypatch, bounds, succeeds, max_retries, cpus=(0,))
-        assert inline_children == []
-        result = run_keyed(monkeypatch, bounds, succeeds, max_retries)
+        times = {}  # whole seconds, fixed per (size, n), so ties occur
+
+        def seconds(m, n):
+            return times.setdefault((m, n), rng.randint(1, 6))
+
+        serial, alone = run_keyed(monkeypatch, bounds, succeeds, max_retries, cpus=(0,), seconds=seconds)
+        assert alone.spawned == 0
+        result, turns = run_keyed(monkeypatch, bounds, succeeds, max_retries, seconds=seconds)
+        assert turns.spawned == 1
         assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
         assert (result.rows, result.timed_out) == (serial.rows, serial.timed_out)
-        # a child is forked for the failure branch of each probe run here, none
-        # for a probe a child ran; it is read if that probe fails, else killed
-        guesses, made, here = failure_branches(serial.history, bounds, max_retries), [], 0
-        while here < len(serial.history):
-            if guesses[here] is None:
-                here += 1
-                continue
-            made.append((guesses[here], here + 1, serial.history[here].success))
-            here += 1 if serial.history[here].success else 2
-        assert [(c.size, c.n, c.cancelled) for c in inline_children] == made
-        speculated += len(made)
-        inline_children.clear()
-    assert speculated > len(scripts)
+        # every probe of the path runs once, in one worker or the other
+        ran = [(size, n) for _, size, n, _, _ in turns.probes]
+        assert all(ran.count((rec.rows, n)) == 1 for n, rec in enumerate(serial.history))
+        # a worker waits for its peer only when the path has no probe left that nobody holds
+        assert turns.idle == [None] * len(turns.idle)
+        by_child += sum(worker == "child" for worker, *_ in turns.probes)
+        waited += len(turns.idle)
+    assert by_child > len(scripts) and waited > 0
 
 
 def test_the_catalog_and_partner_tables_are_built_before_the_first_child(monkeypatch):
     model = parse_model("2^6 3^3")
-    warm = []
+    warm, turns = [], Turns()
 
-    def make(probe, size, n):
+    def make(work):
         cached = locaray.model.enumerate_interactions.cache_info().currsize == 1
         warm.append(cached and "partners" in vars(locaray.model.enumerate_interactions(model, 2)))
-        return InlineChild(probe, size, n)
+        return turns.spawn(work)
 
-    monkeypatch.setattr(search_module, "_ProbeChild", make)
+    monkeypatch.setattr(search_module, "_Peer", make)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     locaray.model.enumerate_interactions.cache_clear()
     construct(model, 2, budget=SearchBudget(timeout=60, seed=1))
     assert warm and all(warm)
 
 
-def test_a_child_is_forked_only_when_two_probes_fit_the_budget(monkeypatch, inline_children):
+def test_a_child_is_forked_only_when_two_probes_fit_the_budget(monkeypatch):
     # 2^30 at t=2: 1740 interactions, 626,400 B at 360 B each; one probe
     # fits 1 MiB, two do not, and two fit 2 MiB
     model = parse_model("2^30")
     one = locaray.interaction_count(model, 2) * locaray.model._BYTES_PER_INTERACTION
     assert one <= 1 << 20 < 2 * one <= 2 << 20
     script = dict(bounds=(1, 31), succeeds=lambda m, n: m >= 13, model=model)
-    for budget_mb, forks in (("1", False), ("2", True)):
+    for budget_mb, forks in (("1", 0), ("2", 1)):
         monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", budget_mb)
-        result = run_keyed(monkeypatch, **script)
-        serial = run_keyed(monkeypatch, cpus=(0,), **script)
+        result, turns = run_keyed(monkeypatch, **script)
+        serial, _ = run_keyed(monkeypatch, cpus=(0,), **script)
         assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
-        assert bool(inline_children) is forks
-        inline_children.clear()
+        assert turns.spawned == forks
 
 
-def test_a_refused_gate_forks_no_child(monkeypatch, inline_children):
+def test_a_refused_gate_forks_no_child(monkeypatch, turns):
     # _speculates says no, and the first probe's index build raises what the gate raises
     model = parse_model("2^4")
     for budget_mb, error in (("abc", ValueError), ("0", locaray.CapacityError)):
@@ -438,7 +436,7 @@ def test_a_refused_gate_forks_no_child(monkeypatch, inline_children):
         with pytest.raises(error) as exc_info:
             construct(model, 2, budget=SearchBudget(timeout=60, seed=1))
         assert "LOCARAY_MEM_BUDGET_MB" in str(exc_info.value)
-        assert inline_children == []
+        assert turns.spawned == 0
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -446,15 +444,18 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 @pytest.fixture
 def forked(monkeypatch):
-    """The pid of every real child ``construct`` forks; this process may use 2 CPUs."""
+    """The pid of the real child of ``construct`` once per probe this
+    process claims while it has one, so a construct that forks once gives
+    one pid however many probes it runs; this process may use 2 CPUs."""
     pids = []
 
-    class Spy(search_module._ProbeChild):
-        def __init__(self, *args):
-            super().__init__(*args)  # returns in the parent only
-            pids.append(self.pid)
+    class Spy(search_module._Peer):
+        def send(self, message):
+            if self.pid is not None and len(message) == 3:  # a claim, sent by the parent
+                pids.append(self.pid)
+            super().send(message)
 
-    monkeypatch.setattr(search_module, "_ProbeChild", Spy)
+    monkeypatch.setattr(search_module, "_Peer", Spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pids
 
@@ -484,11 +485,14 @@ def sleep_then_fail(m):
 @needs_fork
 def test_a_wrong_guess_is_killed_at_once(monkeypatch, forked):
     # the bisect case of the probe lock: the first probe, at 16, succeeds,
-    # and the child that guessed it would fail runs 24 and sleeps; the
-    # children of later probes run 15 or less and answer at once
-    monkeypatch.setattr(
-        search_module, "sa_run", stub_in(lambda m: m >= 13, lambda m: sleep_then_fail(m) if m >= 20 else m >= 13)
-    )
+    # and the child, taking it as failed, runs 24 and sleeps; this process
+    # runs every later probe beside it, and kills it when the path is complete
+    def here(m):
+        if m == 16:
+            time.sleep(0.5)  # so the child claims 24 before it learns that 16 succeeded
+        return m >= 13
+
+    monkeypatch.setattr(search_module, "sa_run", stub_in(here, lambda m: sleep_then_fail(m) if m >= 20 else m >= 13))
     monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 31))
     started = time.monotonic()
     result = construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=600, seed=0))
@@ -543,13 +547,48 @@ def test_a_forked_construct_gives_the_serial_arrays(monkeypatch, forked):
     budget = SearchBudget(timeout=600, seed=1)
     result = construct(model, 2, budget=budget)
     forks = len(forked)
-    assert forks
+    assert len(set(forked)) == 1  # one child ran beside every probe claimed here
     assert_no_child_left()
     one_cpu(monkeypatch)
     serial = construct(model, 2, budget=budget)
     assert len(forked) == forks
     assert locaray.format_array(result.array, 2) == locaray.format_array(serial.array, 2)
     assert [(r.rows, r.success) for r in result.history] == [(r.rows, r.success) for r in serial.history]
+
+
+@needs_fork
+def test_an_orphaned_child_exits_at_its_next_probe(monkeypatch):
+    # the parent's ends of the pipes close during its first probe, as they
+    # would if it were killed; the child's probes each take 50 ms and fail
+    peers = []
+
+    class Keep(search_module._Peer):
+        def __init__(self, *args):
+            super().__init__(*args)  # returns in the parent only
+            peers.append(self)
+
+    class Orphaned(Exception):
+        pass
+
+    def orphan(m):
+        (peer,) = peers
+        os.close(peer.read)
+        os.close(peer.write)
+        peer.read = peer.write = None
+        deadline = time.monotonic() + 30
+        while os.waitpid(peer.pid, os.WNOHANG) == (0, 0):
+            assert time.monotonic() < deadline, "the orphaned child is still probing"
+            time.sleep(0.01)
+        peer.pid = None  # reaped here
+        raise Orphaned
+
+    monkeypatch.setattr(search_module, "_Peer", Keep)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(search_module, "sa_run", stub_in(orphan, lambda m: time.sleep(0.05)))
+    monkeypatch.setattr(search_module, "initial_bounds", lambda model, t: (1, 31))
+    with pytest.raises(Orphaned):
+        construct(SutModel((2, 2)), 2, budget=SearchBudget(timeout=600, seed=0))
+    assert_no_child_left()
 
 
 def test_a_failed_fork_runs_every_probe_here(monkeypatch):
@@ -720,15 +759,15 @@ def test_construct_runs_returns_one_result_per_budget_in_order(inline_pools):
         assert [(r.rows, r.success) for r in a.history] == [(r.rows, r.success) for r in alone.history]
 
 
-def test_pool_workers_never_speculate(inline_pools, inline_children):
+def test_pool_workers_never_speculate(inline_pools, turns):
     model = parse_model("2^4")
     budgets = [SearchBudget(timeout=60, seed=seed) for seed in (1, 2)]
     serial = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=1)
-    assert inline_children  # each construct in this process may use one child
-    inline_children.clear()
+    assert turns.spawned == 2  # each construct in this process forks one child
+    turns.spawned = 0
     pooled = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=2)
     assert [pool.max_workers for pool in inline_pools] == [2]
-    assert inline_children == []
+    assert turns.spawned == 0
     for a, b in zip(serial, pooled):
         assert a.array == b.array
         assert [(r.rows, r.success) for r in a.history] == [(r.rows, r.success) for r in b.history]
@@ -742,15 +781,15 @@ def test_construct_runs_forks_no_more_processes_than_budgets(inline_pools):
     assert lone.array == construct(model, 2, AnnealParams(), budget).array
 
 
-def test_a_lone_run_starts_no_pool_and_forks_its_child(inline_pools, inline_children):
+def test_a_lone_run_starts_no_pool_and_forks_its_child(inline_pools, turns):
     # a pool of one would only cost a process, and its worker may not speculate
     model = parse_model("2^4")
     budget = SearchBudget(timeout=60, seed=1)
     (one,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=1)
-    inline_children.clear()
+    turns.spawned = 0
     (two,) = search_module.construct_runs(model, 2, AnnealParams(), [budget], workers=2)
     assert inline_pools == []
-    assert inline_children
+    assert turns.spawned == 1
     assert two.array == one.array
     assert [(r.rows, r.success) for r in two.history] == [(r.rows, r.success) for r in one.history]
 
