@@ -127,16 +127,16 @@ def sa_run(
     m: int,
     params: AnnealParams,
     rng: Random,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     observer=None,
 ) -> TestArray | None:
     """One annealing run at a fixed size; the found array or None on failure.
 
     Deterministic for a fixed rng seed (as long as the deadline never
     fires).  The deadline is an absolute time.monotonic() value, checked
-    once per iteration.  ``observer(iteration, temperature, delta,
-    accepted, cost)`` is called after each acceptance decision, for tests
-    and tracing.
+    once per iteration; the default, ``math.inf``, never fires.
+    ``observer(iteration, temperature, delta, accepted, cost)`` is called
+    after each acceptance decision, for tests and tracing.
     """
     array = random_array(model, m, rng)
     index = build_index(array, t)
@@ -154,7 +154,7 @@ def sa_run(
     # the neighbour selection, apply_move and undo_move are looked up in this
     # module's globals on every call, so a tracer can wrap them there
     for iteration in range(params.k_max):
-        if deadline is not None and monotonic() >= deadline:
+        if monotonic() >= deadline:
             return None
         if select_baseline:
             move = select_neighbor_baseline(array, rng)

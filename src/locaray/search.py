@@ -1,10 +1,10 @@
 """Size bounds, the outer size search, and restarts of the construction driver.
 
 ``construct`` runs simulated annealing again and again at varying sizes, in
-one loop that only runs probes: ``next_probe``, a pure function of the
-search state and the last outcome, picks each size by the three rules its
-docstring gives (bisect, widen, shrink).  A wall-clock timeout ends the
-search; the smallest array found so far is the result.
+one loop that only runs probes: ``_path``, a generator over the outcomes
+known so far, picks each size by the three rules its docstring gives
+(bisect, widen, shrink).  A wall-clock timeout ends the search; the
+smallest array found so far is the result.
 
 Where two CPUs are free, one forked child runs probes beside the parent
 (speculative computation, Witte, Chamberlain & Franklin, IEEE TPDS 2(4),
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count
 from random import Random
-from typing import NamedTuple
 
 try:
     from _sha2 import sha256  # CPython 3.12+
@@ -124,25 +123,15 @@ class SearchResult:
     time_to_best: float | None = None
 
 
-class SearchState(NamedTuple):
-    """Where the size search stands: the open range [low, high], the rows of
-    the smallest array found (None before the first success), and the
-    consecutive failures one row below it."""
+def _path(known: dict, floor: int, high: int, max_retries: int):
+    """Yield (size, n) for each probe of the search in turn, when probe n
+    at size m has the outcome in ``known[m, n]``, its rows first (None if it
+    failed), and every probe missing from ``known`` fails.  While probes are
+    missing the path need not end: a search that finds nothing widens
+    without end.
 
-    low: int
-    high: int
-    best: int | None = None
-    failures: int = 0
-
-
-def next_probe(
-    state: SearchState, size: int | None, found: bool, floor: int, max_retries: int
-) -> tuple[SearchState, int | None]:
-    """Apply the outcome of the probe at ``size`` (None before the first
-    probe) and pick the next size, or None when the search is over.
-
-    The search starts from ``SearchState(floor, high)`` with the bounds of
-    ``initial_bounds``.  Each size follows one of three rules:
+    The search starts from the range [floor, high] of ``initial_bounds``,
+    with nothing found.  Each size follows one of three rules:
 
     - while the range [low, high] is not empty, probe its midpoint; a success
       moves ``high`` below the found size, a failure moves ``low`` past it;
@@ -155,38 +144,24 @@ def next_probe(
       fewer than the best array, stopping after ``max_retries`` failures in
       a row or below ``floor``.
     """
-    low, high, best, failures = state
-    if size is not None:
-        if found:
+    low, best, failures = floor, None, 0
+    for n in count():
+        while low > high and best is None:
+            high *= 2
+        if low <= high:
+            size = (low + high) // 2
+        elif failures < max_retries and best > floor:
+            size = best - 1
+        else:
+            return
+        yield size, n
+        if known.get((size, n), (None,))[0] is not None:
             # while shrinking, low is above the new high: the range stays empty
             best, high, failures = size, size - 1, 0
         elif low <= high:
             low = size + 1
         else:
             failures += 1
-    while low > high and best is None:
-        high *= 2
-    if low <= high:
-        size = (low + high) // 2
-    else:
-        size = best - 1 if failures < max_retries and best > floor else None
-    return SearchState(low, high, best, failures), size
-
-
-def _path(known: dict, floor: int, high: int, max_retries: int):
-    """Yield (size, n) for each probe of the search in turn, as
-    ``next_probe`` picks it from ``SearchState(floor, high)``, when probe n
-    at size m has the outcome in ``known[m, n]``, its rows first (None if it
-    failed), and every probe missing from ``known`` fails.  While probes are
-    missing the path need not end: a search that finds nothing widens
-    without end."""
-    state, size, found = SearchState(floor, high), None, False
-    for n in count():
-        state, size = next_probe(state, size, found, floor, max_retries)
-        if size is None:
-            return
-        yield size, n
-        found = known.get((size, n), (None,))[0] is not None
 
 
 def construct(
@@ -196,7 +171,7 @@ def construct(
     budget: SearchBudget | None = None,
 ) -> SearchResult:
     """Construct a small locating array for ``model`` at strength ``t``,
-    probing the sizes ``next_probe`` picks.
+    probing the sizes ``_path`` picks.
 
     Probe n runs on child seed ``sa:n``, so its outcome does not depend on
     the process that runs it.  Probes run in one worker loop, ``work``:
@@ -211,8 +186,12 @@ def construct(
     the path, so it is deterministic for a fixed budget seed, with or
     without the child, provided the timeout never fires.
     """
-    params = params or AnnealParams()
-    budget = budget or SearchBudget()
+    return _construct(model, t, params or AnnealParams(), budget or SearchBudget(), fork=True)
+
+
+def _construct(model: SutModel, t: int, params: AnnealParams, budget: SearchBudget, fork: bool = False) -> SearchResult:
+    # construct, forking no child unless fork is set: construct_runs' pool
+    # maps this, as its workers already fill the CPUs it may use
     started = time.monotonic()
     deadline = started + budget.timeout
     floor, high = initial_bounds(model, t)
@@ -257,7 +236,7 @@ def construct(
 
     known = {}
     peer = None
-    if _speculates(model, t):
+    if fork and _speculates(model, t):
         enumerate_interactions(model, t).partners  # built once, here, and inherited by the child
         try:
             peer = _Peer(partial(work, known={}, child=True))
@@ -294,15 +273,6 @@ def construct(
     )
 
 
-# True in the workers of construct_runs' pool, which already fill the CPUs it may use
-_in_pool = False
-
-
-def _enter_pool() -> None:
-    global _in_pool
-    _in_pool = True
-
-
 def _usable_cpus() -> int:
     # the affinity mask, where os has one: under `taskset -c 0` it holds 1 CPU, whatever the host has
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -310,13 +280,12 @@ def _usable_cpus() -> int:
 
 def _speculates(model: SutModel, t: int) -> bool:
     """Whether ``construct`` may fork a child that runs probes beside this
-    process: os has ``fork``, this process may use two CPUs, runs one
+    process: os has ``fork``, this process may use two CPUs and runs one
     thread (a child of a threaded process may inherit a lock that another
-    thread held) and is no pool worker, and two probes, one in each
-    process, fit the memory budget: ``check_capacity(model, t, probes=2)``
-    passes."""
+    thread held), and two probes, one in each process, fit the memory
+    budget: ``check_capacity(model, t, probes=2)`` passes."""
     threading = sys.modules.get("threading")  # if not imported, no thread was started through it
-    if _in_pool or not hasattr(os, "fork") or _usable_cpus() < 2 or (threading and threading.active_count() > 1):
+    if not hasattr(os, "fork") or _usable_cpus() < 2 or (threading and threading.active_count() > 1):
         return False
     try:
         check_capacity(model, t, probes=2)
@@ -427,15 +396,15 @@ def construct_runs(
     size = min(workers, _usable_cpus(), len(budgets))
     if size <= 1:
         return [construct(model, t, params, budget) for budget in budgets]
-    with _process_pool(size, _enter_pool) as pool:
-        return list(pool.map(partial(construct, model, t, params), budgets))
+    with _process_pool(size) as pool:
+        return list(pool.map(partial(_construct, model, t, params), budgets))
 
 
-def _process_pool(max_workers: int, initializer):
+def _process_pool(max_workers: int):
     # imported here, so that importing locaray loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=max_workers, initializer=initializer)
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def parallel_construct(

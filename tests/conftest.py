@@ -52,13 +52,11 @@ def printer_covering():
 
 
 class InlinePool:
-    """Stand-in for a process pool: records its size and runs its
-    initializer and then every job in this process, so pool sizing can be
-    tested without spawning."""
+    """Stand-in for a process pool: records its size and runs every job in
+    this process, so pool sizing can be tested without spawning."""
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers):
         self.max_workers = max_workers
-        self.initializer = initializer
         self.jobs = None
 
     def __enter__(self):
@@ -69,23 +67,21 @@ class InlinePool:
 
     def map(self, fn, jobs):
         self.jobs = list(jobs)
-        self.initializer()
         return map(fn, self.jobs)
 
 
 @pytest.fixture
 def inline_pools(monkeypatch):
     """Every pool the search layer creates, in creation order; this process
-    may use 2 CPUs.  Once a pool has run, this process is its worker until
-    the test ends, so its constructs fork no child."""
+    may use 2 CPUs.  The constructs a pool runs fork no child, as in a real
+    pool's workers."""
     pools = []
 
-    def make(max_workers, initializer):
-        pools.append(InlinePool(max_workers, initializer))
+    def make(max_workers):
+        pools.append(InlinePool(max_workers))
         return pools[-1]
 
     monkeypatch.setattr(locaray.search, "_process_pool", make)
-    monkeypatch.setattr(locaray.search, "_in_pool", False)  # restored when the test ends
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pools
 

@@ -21,7 +21,7 @@ from locaray import (
     verify,
 )
 from locaray import search as search_module
-from locaray.search import SearchState, derive_seed, initial_bounds, next_probe
+from locaray.search import _path, derive_seed, initial_bounds
 from tests.conftest import Turns
 
 
@@ -246,18 +246,19 @@ def test_construct_probe_sequence_is_locked(monkeypatch, case):
 
 
 def drive(bounds, succeeds, max_retries=3):
-    """``next_probe`` alone, with no clock, model or RNG: the (size, success)
-    pairs it asks for and the best size, for ``succeeds`` as in run_scripted."""
-    state, size, found, history = SearchState(*bounds), None, False, []
-    while True:
-        state, size = next_probe(state, size, found, bounds[0], max_retries)
-        if size is None:
-            return history, state.best
-        found = succeeds(size, len(history) + 1)
+    """``_path`` alone, with no clock, model or RNG, filling its outcome
+    table as it walks: the (size, success) pairs it asks for and the best
+    size, for ``succeeds`` as in run_scripted."""
+    known, history, best = {}, [], None
+    for size, n in _path(known, *bounds, max_retries):
+        found = succeeds(size, n + 1)
+        known[size, n] = (size if found else None,)
         history.append((size, int(found)))
+        best = size if found else best
+    return history, best
 
 
-def test_next_probe_alone_gives_the_probe_sequences(monkeypatch):
+def test_path_alone_gives_the_probe_sequences(monkeypatch):
     for case, spec in PROBE_LOCK.items():
         if not case.startswith("deadline-"):
             replay = drive(spec["bounds"], spec["succeeds"], spec.get("max_retries", 3))
@@ -275,9 +276,6 @@ def test_next_probe_alone_gives_the_probe_sequences(monkeypatch):
         result = run_scripted(monkeypatch, bounds, succeeds, max_retries, timeout=math.inf)
         assert [(rec.rows, int(rec.success)) for rec in result.history] == history
         assert (result.rows, result.timed_out) == (best, False)
-        # pure: the same state and outcome give the same answer
-        args = (SearchState(*bounds, best, rng.randint(0, 4)), rng.randint(1, 80), rng.random() < 0.5, bounds[0], max_retries)
-        assert next_probe(*args) == next_probe(*args)
 
 
 def test_construct_never_probes_below_floor(monkeypatch):
@@ -557,7 +555,7 @@ def test_a_forked_construct_gives_the_serial_arrays(monkeypatch, forked):
 
 
 @needs_fork
-def test_an_orphaned_child_exits_at_its_next_probe(monkeypatch):
+def test_an_orphaned_child_exits_at_a_probe_boundary(monkeypatch):
     # the parent's ends of the pipes close during its first probe, as they
     # would if it were killed; the child's probes each take 50 ms and fail
     peers = []
@@ -740,7 +738,7 @@ def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monke
             return search_module.SearchResult(TestArray(model, [[0, 0]] * 4), 4, timed_out=False)
         return search_module.SearchResult(TestArray(model, [[0, 0]] * 5), 5, timed_out=True)
 
-    monkeypatch.setattr(search_module, "construct", restart)
+    monkeypatch.setattr(search_module, "_construct", restart)
     result = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=2)
     assert result.rows == 4
     assert result.timed_out
