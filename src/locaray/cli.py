@@ -26,7 +26,7 @@ import sys
 from importlib import resources
 
 from .anneal import AnnealParams, STRATEGIES
-from .model import CapacityError, check_capacity, check_strength, format_array, parse_array, parse_model
+from .model import CapacityError, check_capacity, check_strength, enumerate_interactions, format_array, parse_array, parse_model
 from .search import SearchBudget, construct_runs, derive_seed, initial_bounds, parallel_construct
 from .verify import verify, locate_fault
 
@@ -277,15 +277,19 @@ def cmd_verify(args) -> int:
     if report.is_locating_1bar:
         print(f"# OK: every strength-{t} interaction is covered and all covering row sets are distinct")
     else:
+        # the report holds tids and row masks; only what is printed is decoded
+        decode = enumerate_interactions(array.model, t).interactions_at
         if report.uncovered:
-            shown = report.uncovered[:SHOWN]
+            shown = decode(report.uncovered[:SHOWN])
             print(f"# {len(report.uncovered)} uncovered interactions, first {len(shown)}:")
             for interaction in shown:
                 print(f"#   uncovered {interaction}")
         if report.collision_count:
             print(f"# {report.collision_count} colliding pairs, first {len(report.collisions)}:")
-            for a, b, rows in report.collisions:
-                print(f"#   {a} ~ {b} rows={{{','.join(str(r) for r in sorted(rows))}}}")
+            for a, b, bits in report.collisions:
+                a, b = decode((a, b))
+                rows = ",".join(str(i + 1) for i in range(bits.bit_length()) if bits >> i & 1)  # bit i is row i + 1
+                print(f"#   {a} ~ {b} rows={{{rows}}}")
     return EXIT_OK if report.is_locating_1bar else EXIT_NOT_LOCATING
 
 

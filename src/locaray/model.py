@@ -25,16 +25,17 @@ offsets, and encodes indices for the coverage index through its
 ``partners`` tables, built on first use.  It decodes an index in one
 place, ``pairs_at``, by ``divmod`` over the value counts, into the
 canonical pairs tuple: that is all the annealing loop reads, so an
-``Interaction`` is built only where a report or a fault query returns one,
-through ``interactions_at``.
+``Interaction`` is built only where a fault query returns one or a reader
+decodes the tids of a ``verify`` report, through ``interactions_at``.
 
 ``enumerate_interactions`` is the one (model, t) cache: it keeps the
 catalog of the last (model, t) asked for, and with it the partner tables
 once an index has asked for them.  So every probe of one construct, and
-``verify``, share one catalog and one set of tables, all read-only tuples;
-a verify-only run never builds the tables.  ``interaction_count`` keeps
-its own memo of |I_t| for the gate below, which must count the catalog
-before anything of that size is built.
+every reader that decodes a ``verify`` report, share one catalog and one
+set of tables, all read-only tuples; ``verify`` itself asks for no catalog,
+and a run that only decodes never builds the tables.
+``interaction_count`` keeps its own memo of |I_t| for the gate below,
+which must count the catalog before anything of that size is built.
 
 ``check_capacity`` is the one gate in front of every structure that holds
 a row set per interaction, the coverage index and ``verify``: it checks
@@ -290,8 +291,10 @@ MEM_BUDGET_ENV = "LOCARAY_MEM_BUDGET_MB"
 # 333 / 271 / 299 B, and on 2^10 3^2 (t=3) at 12 / 20 / 33 rows 263 / 280 /
 # 289 B, against at most 235 B right after a build: under churn the group
 # dict resizes to about 3x its live entries.  ``verify``, which also holds
-# a row set per interaction, peaked at 290 B on a 0-row array, whose report
-# lists every interaction as uncovered, and at most 141 B on 12-33 rows.
+# a row set per interaction but reports tids, peaked on Python 3.11 at 54 /
+# 85 / 115 / 141 B on 2^40 3^10 at 0 / 12 / 20 / 33 rows, and at 50 / 69 /
+# 89 / 99 B on 2^10 3^2: on a 0-row array its report lists every tid as
+# uncovered, one int each.
 # The figure is the largest, 333 B, rounded up to a multiple of 40.
 _BYTES_PER_INTERACTION = 360
 
@@ -375,7 +378,7 @@ class InteractionCatalog:
         the sample-set updates of an entry change, and so the positions the
         RNG picks from: catalog order for a fixed j is ascending in the
         partner factors at every strength.  Built on first use, so a catalog
-        that only ``verify`` asked for never holds them.
+        that was only asked to decode never holds them.
         """
         values = self.model.values
         tables: list[list] = [[] for _ in values]
@@ -425,7 +428,8 @@ def enumerate_interactions(model: SutModel, t: int) -> InteractionCatalog:
 
     The one (model, t) cache, described in the module docstring: the
     catalog of the last (model, t) asked for, with its partner tables once
-    built, shared read-only by every coverage index and ``verify``.
+    built, shared read-only by every coverage index and by every reader
+    that decodes a ``verify`` report.
     """
     return InteractionCatalog(model, t)
 

@@ -3,34 +3,35 @@
 This module is the independent oracle: it never imports ``locaray.cost``,
 so neither the incremental engine nor the grouping of the coverage index
 reaches a verdict here.  What it shares with the index lives in
-``locaray.model``: the gate, the catalog decode and the row-set kernel
-``model.row_sets``, which computes every covering row set from the array
-(described there).  ``verify`` asks ``model.check_capacity``, as every
-index build does, before it holds a row set per interaction, and
-``locate_fault`` asks ``model.check_strength``.  An array of strength t is
-*covering* when every t-way interaction is covered by at least one row, and
-*locating* (for at most one fault) when, in addition, no two distinct t-way
-interactions share the same covering row set.
+``locaray.model``: the gate and the row-set kernel ``model.row_sets``,
+which computes every covering row set from the array (described there).
+``verify`` asks ``model.check_capacity``, as every index build does,
+before it holds a row set per interaction, and ``locate_fault`` asks
+``model.check_strength``.  An array of strength t is *covering* when every
+t-way interaction is covered by at least one row, and *locating* (for at
+most one fault) when, in addition, no two distinct t-way interactions share
+the same covering row set.
 
 ``verify`` groups the row sets in one pass: a dict keeps the first tid of
 each row set, and every later tid joins the member list of a shared row
-set.  Only the members of the empty row set, which are the uncovered
-interactions, and of the shared row sets the pair list reaches are
-decoded, each tid once, in one ``InteractionCatalog.interactions_at`` call
-on the catalog of the one (model, t) cache, ``model.enumerate_interactions``,
-which the coverage index shares; on a locating array nothing is decoded
-and no catalog is asked for.
+set.  Its report holds only ints: the tids of the uncovered interactions
+(the members of the empty row set) and, for each listed colliding pair, two
+tids and their shared row mask.  So ``verify`` decodes nothing and never
+asks for a catalog; a tid is the interaction's position in the catalog of
+``model.enumerate_interactions``, whose ``interactions_at`` decodes what a
+reader wants to print.
 ``locate_fault`` never builds the whole kernel: comparing the failing rows
 picks the few factors an answer can use, |F| * k compares, and only those
-factors get a mask.  ``Interaction`` objects are built only for what a
-report or a fault query returns.
+factors get a mask.  It returns ``Interaction`` objects, since its answer
+holds few.
 """
 
 import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .model import Interaction, TestArray, check_capacity, check_strength, enumerate_interactions, row_sets
+from .model import Interaction, TestArray, check_capacity, check_strength, row_sets
+from .model import enumerate_interactions  # noqa: F401  unused here; perfbench's tracer wraps this name
 
 DEFAULT_COLLISION_PAIRS = 1000  # pairs listed in a report unless the caller asks otherwise
 
@@ -39,20 +40,24 @@ DEFAULT_COLLISION_PAIRS = 1000  # pairs listed in a report unless the caller ask
 class VerifyReport:
     """Outcome of checking one array at one strength.
 
-    ``collisions`` lists unordered pairs of distinct interactions with
-    identical covering row sets, the pair ordered canonically, together with
-    the shared row set, up to the cap ``verify`` was given.  Pairs whose
-    shared row set is empty count as collisions too (they also show up in
-    ``uncovered``).  ``collision_count`` is always exact even when the pair
-    list was truncated.
+    Interactions are named by tid, their position in the catalog of
+    ``model.enumerate_interactions(model, strength)``, whose
+    ``interactions_at`` decodes them.  ``uncovered`` lists the tids of the
+    uncovered interactions in catalog order.  ``collisions`` lists unordered
+    pairs of distinct interactions with identical covering row sets as
+    ``(tid, tid, row mask)`` triples, the smaller tid first, bit i of the
+    mask set when row i + 1 covers both, up to the cap ``verify`` was given.
+    Pairs whose shared row set is empty (mask 0) count as collisions too
+    (they also show up in ``uncovered``).  ``collision_count`` is always
+    exact even when the pair list was truncated.
     """
 
     strength: int
     is_covering: bool
     is_locating_exact1: bool
     is_locating_1bar: bool
-    uncovered: list[Interaction]
-    collisions: list[tuple[Interaction, Interaction, frozenset[int]]]
+    uncovered: list[int]
+    collisions: list[tuple[int, int, int]]
     collision_count: int
     collisions_truncated: bool = False
 
@@ -66,16 +71,6 @@ def _value_mask(array: TestArray, j: int, value: int) -> int:
     return bits
 
 
-def _rows(bits: int) -> frozenset[int]:
-    """1-based row indices of a row-set mask, peeled off lowest bit first."""
-    rows = []
-    while bits:
-        low = bits & -bits
-        rows.append(low.bit_length())  # bit i is row i + 1
-        bits ^= low
-    return frozenset(rows)
-
-
 def _shared_groups(rowsets: list[int]) -> tuple[list[list[int]], list[int]]:
     """The tids of every shared row set, one ascending list per row set in
     the order the row sets first occur, and the tids of the empty row set,
@@ -83,8 +78,7 @@ def _shared_groups(rowsets: list[int]) -> tuple[list[list[int]], list[int]]:
 
     One pass keeps the first tid of each row set and lists every later tid,
     which is what makes a row set shared; a locating array has none.  The
-    dict of first tids holds one per interaction and is freed on return,
-    before the report decodes anything.
+    dict of first tids holds one per interaction and is freed on return.
     """
     first: dict[int, int] = {}
     claim = first.setdefault
@@ -121,33 +115,18 @@ def verify(
     check_capacity(array.model, t)
     rowsets = row_sets(array, t)
 
-    shared, uncovered_tids = _shared_groups(rowsets)
+    shared, uncovered = _shared_groups(rowsets)
     collision_count = sum(comb(len(group), 2) for group in shared)
     listed = collision_count if max_collision_pairs is None else min(collision_count, max_collision_pairs)
-
-    # only the uncovered interactions and the groups the pair list reaches
-    # are decoded, in one batch
-    listed_groups = []
-    room = listed
+    collisions: list[tuple[int, int, int]] = []
     for group in shared:
+        room = listed - len(collisions)
         if room <= 0:
             break
         # a group's first `room` pairs pair up only its first room + 1 members
-        listed_groups.append(group[: room + 1])
-        room -= comb(len(group), 2)
-    uncovered: list[Interaction] = []
-    collisions: list[tuple[Interaction, Interaction, frozenset[int]]] = []
-    if uncovered_tids or listed_groups:
-        # a listed empty row set is a prefix of the uncovered tids, decoded once
-        decode = enumerate_interactions(array.model, t).interactions_at
-        shared_tids = itertools.chain.from_iterable(group for group in listed_groups if rowsets[group[0]])
-        decoded = iter(decode(uncovered_tids + list(shared_tids)))
-        uncovered = list(itertools.islice(decoded, len(uncovered_tids)))
-        for group in listed_groups:
-            bits = rowsets[group[0]]
-            pairs = itertools.combinations(itertools.islice(decoded, len(group)) if bits else uncovered[: len(group)], 2)
-            rows = _rows(bits)
-            collisions.extend((a, b, rows) for a, b in itertools.islice(pairs, listed - len(collisions)))
+        pairs = itertools.combinations(group[: room + 1], 2)
+        bits = rowsets[group[0]]
+        collisions.extend((a, b, bits) for a, b in itertools.islice(pairs, room))
 
     is_covering = not uncovered
     is_locating_exact1 = collision_count == 0

@@ -337,6 +337,78 @@ _THREE_ROWS_OUT = (
 )
 
 
+# a random non-locating t=3 array: its first 20 pairs share four row sets,
+# two of them past row 9
+_RANDOM_T3 = (
+    "2^5 3\n"
+    "12 3\n"
+    "1 1 1 1 1 0\n"
+    "1 0 1 1 0 2\n"
+    "0 0 1 1 1 2\n"
+    "0 1 0 0 1 0\n"
+    "0 0 1 1 1 0\n"
+    "1 1 1 1 0 1\n"
+    "1 1 0 1 0 1\n"
+    "0 0 1 0 1 0\n"
+    "1 1 1 1 1 0\n"
+    "0 1 0 1 1 0\n"
+    "1 0 1 0 1 2\n"
+    "0 0 0 1 1 0\n"
+)
+_RANDOM_T3_OUT = (
+    "model=2^5 3\n"
+    "rows=12\n"
+    "strength=3\n"
+    "is_covering=false\n"
+    "is_locating_exact1=false\n"
+    "is_locating_1bar=false\n"
+    "uncovered_count=74\n"
+    "collision_count=2952\n"
+    "# 74 uncovered interactions, first 20:\n"
+    "#   uncovered (1=0, 2=1, 3=1)\n"
+    "#   uncovered (1=1, 2=0, 3=0)\n"
+    "#   uncovered (1=1, 2=1, 4=0)\n"
+    "#   uncovered (1=0, 2=0, 5=0)\n"
+    "#   uncovered (1=0, 2=1, 5=0)\n"
+    "#   uncovered (1=0, 2=0, 6=1)\n"
+    "#   uncovered (1=0, 2=1, 6=1)\n"
+    "#   uncovered (1=0, 2=1, 6=2)\n"
+    "#   uncovered (1=1, 2=0, 6=0)\n"
+    "#   uncovered (1=1, 2=0, 6=1)\n"
+    "#   uncovered (1=1, 2=1, 6=2)\n"
+    "#   uncovered (1=1, 3=0, 4=0)\n"
+    "#   uncovered (1=0, 3=0, 5=0)\n"
+    "#   uncovered (1=0, 3=1, 5=0)\n"
+    "#   uncovered (1=1, 3=0, 5=1)\n"
+    "#   uncovered (1=0, 3=0, 6=1)\n"
+    "#   uncovered (1=0, 3=0, 6=2)\n"
+    "#   uncovered (1=0, 3=1, 6=1)\n"
+    "#   uncovered (1=1, 3=0, 6=0)\n"
+    "#   uncovered (1=1, 3=0, 6=2)\n"
+    "# 2952 colliding pairs, first 20:\n"
+    "#   (1=0, 2=0, 3=0) ~ (2=0, 3=0, 4=1) rows={12}\n"
+    "#   (1=0, 2=0, 3=0) ~ (2=0, 3=0, 5=1) rows={12}\n"
+    "#   (1=0, 2=0, 3=0) ~ (2=0, 3=0, 6=0) rows={12}\n"
+    "#   (2=0, 3=0, 4=1) ~ (2=0, 3=0, 5=1) rows={12}\n"
+    "#   (2=0, 3=0, 4=1) ~ (2=0, 3=0, 6=0) rows={12}\n"
+    "#   (2=0, 3=0, 5=1) ~ (2=0, 3=0, 6=0) rows={12}\n"
+    "#   (1=0, 2=0, 3=1) ~ (1=0, 3=1, 5=1) rows={3,5,8}\n"
+    "#   (1=0, 2=1, 3=0) ~ (1=0, 2=1, 5=1) rows={4,10}\n"
+    "#   (1=0, 2=1, 3=0) ~ (1=0, 2=1, 6=0) rows={4,10}\n"
+    "#   (1=0, 2=1, 3=0) ~ (2=1, 3=0, 5=1) rows={4,10}\n"
+    "#   (1=0, 2=1, 3=0) ~ (2=1, 3=0, 6=0) rows={4,10}\n"
+    "#   (1=0, 2=1, 5=1) ~ (1=0, 2=1, 6=0) rows={4,10}\n"
+    "#   (1=0, 2=1, 5=1) ~ (2=1, 3=0, 5=1) rows={4,10}\n"
+    "#   (1=0, 2=1, 5=1) ~ (2=1, 3=0, 6=0) rows={4,10}\n"
+    "#   (1=0, 2=1, 6=0) ~ (2=1, 3=0, 5=1) rows={4,10}\n"
+    "#   (1=0, 2=1, 6=0) ~ (2=1, 3=0, 6=0) rows={4,10}\n"
+    "#   (2=1, 3=0, 5=1) ~ (2=1, 3=0, 6=0) rows={4,10}\n"
+    "#   (1=0, 2=1, 3=1) ~ (1=1, 2=0, 3=0) rows={}\n"
+    "#   (1=0, 2=1, 3=1) ~ (1=1, 2=1, 4=0) rows={}\n"
+    "#   (1=0, 2=1, 3=1) ~ (1=0, 2=0, 5=0) rows={}\n"
+)
+
+
 @pytest.mark.parametrize("text, expected", [(_TWO_EQUAL_ROWS, _TWO_EQUAL_ROWS_OUT), (_THREE_ROWS, _THREE_ROWS_OUT)])
 def test_verify_lists_only_the_pairs_it_prints(capsys, monkeypatch, tmp_path, text, expected):
     caps = []
@@ -352,6 +424,20 @@ def test_verify_lists_only_the_pairs_it_prints(capsys, monkeypatch, tmp_path, te
     assert code == EXIT_NOT_LOCATING
     assert out == expected
     assert caps == [cli.SHOWN] == [20]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [(_TWO_EQUAL_ROWS, _TWO_EQUAL_ROWS_OUT), (_RANDOM_T3, _RANDOM_T3_OUT)], ids=["dup", "random-t3"]
+)
+def test_verify_stdout_is_pinned_byte_for_byte(tmp_path, text, expected):
+    # every byte `locaray verify` writes, as it read when verify decoded its
+    # reports itself and the command printed Interaction objects
+    path = tmp_path / "a.la"
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "locaray.cli", "verify", "--array", str(path)], capture_output=True)
+    assert proc.returncode == EXIT_NOT_LOCATING
+    assert proc.stdout == expected.encode()
+    assert proc.stderr == b""
 
 
 def test_generate_deterministic_files(capsys, tmp_path):

@@ -392,19 +392,24 @@ def test_each_model_and_strength_gets_its_own_tables(catalog_builds, printer_cov
 def test_construct_and_verify_share_one_catalog(catalog_builds):
     sut = SutModel((2, 2, 2, 3))
     result = construct(sut, 2, budget=SearchBudget(timeout=60, seed=1))
-    # neither array locates, so both reports decode interactions
-    assert not verify(TestArray(sut, []), 2).is_covering
-    assert not verify(TestArray(sut, result.array.rows[:2]), 2).is_locating_1bar
+    # neither array locates, and a reader decodes both reports through the construct's catalog
+    for rows in ([], result.array.rows[:2]):
+        report = verify(TestArray(sut, rows), 2)
+        assert not report.is_locating_1bar
+        enumerate_interactions(sut, 2).interactions_at([tid for a, b, _ in report.collisions for tid in (a, b)])
     assert catalog_builds == [(sut, 2)]
 
 
 def test_an_index_takes_the_cached_catalog_after_verify_switched_models(catalog_builds):
     # two caches of size one, for the index's tables and for the catalog,
-    # drifted apart here: the index kept the first catalog of A alive
+    # drifted apart here: the index kept the first catalog of A alive.  verify
+    # decodes nothing, so reading its reports is what switches the catalog
     a, b = TestArray(SutModel((2, 2, 2)), []), TestArray(SutModel((3, 3)), [])
     build_index(a, 2)
-    assert not verify(b, 2).is_covering
-    assert not verify(a, 2).is_covering  # both reports decode
+    for array in (b, a):
+        report = verify(array, 2)
+        assert not report.is_covering
+        enumerate_interactions(array.model, 2).interactions_at(report.uncovered)
     index = build_index(a, 2)
     assert index.catalog is enumerate_interactions(a.model, 2)
     assert index._partners is index.catalog.partners
@@ -414,6 +419,7 @@ def test_an_index_takes_the_cached_catalog_after_verify_switched_models(catalog_
 def test_verify_alone_never_builds_the_partner_tables(catalog_builds):
     array = TestArray(SutModel((2, 2, 2)), [[0, 0, 0]])
     assert not verify(array, 2).is_covering
+    assert catalog_builds == []  # verify decodes nothing
     catalog = enumerate_interactions(array.model, 2)
     assert catalog_builds == [(array.model, 2)]
     assert "partners" not in vars(catalog)

@@ -21,6 +21,17 @@ from tests.literal_oracle import literal_locate_fault, literal_verify
 FAULTY_PAIR = Interaction(((1, 1), (2, 1)))  # (size=A5, color=No)
 
 
+def _decoded(array, report):
+    """A report's uncovered interactions and colliding pairs, its tids decoded
+    through the catalog and each row mask turned into its set of 1-based rows."""
+    decode = enumerate_interactions(array.model, report.strength).interactions_at
+    collisions = [
+        (*decode((a, b)), frozenset(i + 1 for i in range(bits.bit_length()) if bits >> i & 1))
+        for a, b, bits in report.collisions
+    ]
+    return decode(report.uncovered), collisions
+
+
 def test_ten_row_printer_array_is_locating(printer_locating):
     report = verify(printer_locating, 2)
     assert report.is_covering
@@ -42,11 +53,13 @@ def test_six_row_printer_array_covers_but_does_not_locate(printer_covering):
     assert len(report.collisions) == 36
     # the known example: (size=A4, duplex=OneSide) ~ (color=Yes, duplex=OneSide) on row 1
     known = (Interaction(((1, 0), (3, 0))), Interaction(((2, 0), (3, 0))), frozenset({1}))
-    assert known in report.collisions
+    assert known in _decoded(printer_covering, report)[1]
 
 
 def test_collision_pairs_are_canonically_ordered(printer_covering):
-    for a, b, rows in verify(printer_covering, 2).collisions:
+    report = verify(printer_covering, 2)
+    for (tid_a, tid_b, _), (a, b, rows) in zip(report.collisions, _decoded(printer_covering, report)[1], strict=True):
+        assert tid_a < tid_b
         assert a < b
         assert rho(printer_covering, a) == rho(printer_covering, b) == rows
 
@@ -66,9 +79,10 @@ def test_uncovered_pairs_count_as_collisions_too():
     # the two uncovered value assignments share an empty row set
     arr = TestArray(SutModel((2, 2)), [[0, 0]])
     report = verify(arr, 1)
-    assert [i.pairs for i in report.uncovered] == [((0, 1),), ((1, 1),)]
+    uncovered, collisions = _decoded(arr, report)
+    assert [i.pairs for i in uncovered] == [((0, 1),), ((1, 1),)]
     assert report.collision_count >= 1
-    empties = [(a, b) for a, b, rows in report.collisions if not rows]
+    empties = [(a, b) for a, b, rows in collisions if not rows]
     assert (Interaction(((0, 1),)), Interaction(((1, 1),))) in empties
 
 
@@ -142,14 +156,17 @@ def test_pairs_come_in_the_order_their_row_sets_first_occur(cap):
         (one(1, 1), one(2, 1), frozenset({2})),
     ]
     report = verify(array, 1, max_collision_pairs=cap)
-    assert report.collisions == expected[:cap]
+    uncovered, collisions = _decoded(array, report)
+    assert collisions == expected[:cap]
     assert report.collision_count == 4
-    assert report.uncovered == [one(0, 1), one(3, 1)]
+    assert uncovered == [one(0, 1), one(3, 1)]
 
 
 def test_each_listed_tid_is_decoded_once(monkeypatch):
     # the uncovered interactions of two all-zero rows share the empty row set,
-    # whose group the pair list reaches: its members are the uncovered ones
+    # whose group the pair list reaches: its members are the uncovered ones.
+    # The report names them by tid, so verify decodes none of them; a reader
+    # decodes what it prints
     decoded = []
     batch_decode = InteractionCatalog.interactions_at
 
@@ -160,10 +177,25 @@ def test_each_listed_tid_is_decoded_once(monkeypatch):
     monkeypatch.setattr(InteractionCatalog, "interactions_at", counting)
     array = TestArray(SutModel((2, 2, 2)), [[0, 0, 0], [0, 0, 0]])
     report = verify(array, 2, max_collision_pairs=20)
-    assert any(rows == frozenset() for _, _, rows in report.collisions)
+    assert any(bits == 0 for _, _, bits in report.collisions)
     assert len(report.uncovered) == 9
     assert report == literal_verify(array, 2, max_collision_pairs=20)
-    assert len(decoded) == len(set(decoded))
+    assert decoded == []
+
+
+def test_verify_decodes_nothing(monkeypatch):
+    # a random 33-row 2^40 3^10 array, of the kind construct-wide audits,
+    # leaves interactions uncovered and lists many colliding pairs
+    def refuse(self, tid):
+        raise AssertionError("verify decoded a tid")
+
+    monkeypatch.setattr(InteractionCatalog, "pairs_at", refuse)
+    array = random_array(SutModel((2,) * 40 + (3,) * 10), 33, random.Random(1))
+    report = verify(array, 2, max_collision_pairs=1000)
+    assert report.uncovered and report.collisions
+    assert all(type(tid) is int for tid in report.uncovered)
+    assert all(type(field) is int for triple in report.collisions for field in triple)
+    assert all(len(triple) == 3 for triple in report.collisions)
 
 
 # --- fault localization -------------------------------------------------------
