@@ -12,12 +12,14 @@ build and by ``verify``.  It keeps one bit mask of rows per (factor,
 value), and the row set of an interaction is the AND of the masks of its t
 pairs, so a whole catalog costs about |I_t| big-int ANDs instead of
 |I_t| * m row scans.  The ANDs are taken by prefix: each (t-1)-factor
-prefix keeps its partial ANDs, the last factor varying fastest, and
+prefix, from ``itertools.combinations``, starts from its first factor's
+masks and ANDs in those of the rest, the last factor varying fastest, and
 extends them by every later factor in one list comprehension.  Prefixes
 come in lexicographic order and each extension in ascending factor order,
 which is the catalog's order of combination blocks and of values within a
-block: C(k, t-1) comprehensions rather than C(k, t).  At t = 1 the empty
-prefix extends to the masks themselves.
+block: one extending comprehension per prefix, C(k - 1, t - 1) of them,
+rather than one per combination, C(k, t).  At t = 1 the empty prefix,
+covered by every row, extends to the masks themselves.
 
 ``InteractionCatalog`` numbers the strength-t interactions densely, one
 block per factor combination; it holds the combinations and their block
@@ -40,14 +42,15 @@ which must count the catalog before anything of that size is built.
 ``check_capacity`` is the one gate in front of every structure that holds
 a row set per interaction, the coverage index and ``verify``: it checks
 the strength (1..k, through ``check_strength``, the one 1..k check on a
-model, which ``locate_fault`` and the CLI also use) and compares |I_t|,
-times the number of probes held at once, with the memory budget, 512 MiB
-unless ``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``.
-|I_t| is memoized for the last (model, t), but the budget is read on every
-call, so a lowered budget still refuses.  The CLI calls it too, in its own
-process before any file, pool or search, and so does
-``search.construct_runs`` before it starts a pool; a construct asks it,
-with ``probes=2``, whether it may fork a child for its next probe.
+model, which ``locate_fault`` and the CLI also use) and returns how many
+structures of |I_t| interactions fit the memory budget at once, 512 MiB
+unless ``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``
+when not even one fits.  |I_t| is memoized for the last (model, t), but
+the budget is read on every call, so a lowered budget still refuses.  The
+CLI calls it too, in its own process before any file, pool or search.
+Whatever runs probes at once, a construct that forks a child for its next
+probe or ``search.construct_runs``' pool, runs no more of them than the
+number it returns, nor more than the CPUs this process may use.
 
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,
@@ -242,20 +245,13 @@ def row_sets(array: TestArray, t: int) -> list[int]:
         for j, value in enumerate(row):
             masks[j][value] |= bit
     k = len(masks)
-    last = t - 1
     rowsets: list[int] = []
-
-    # depth first over the prefixes, in lexicographic order: an entry holds
-    # a prefix's partial ANDs, the first factor that may follow it and its
-    # length; children are pushed last first, so that they pop first first
-    stack = [([-1], 0, 0)]  # -1: the empty prefix, covered by every row
-    while stack:
-        sets, start, depth = stack.pop()
-        if depth == last:
-            rowsets += [a & b for j in range(start, k) for a in sets for b in masks[j]]
-        else:
-            for j in reversed(range(start, k - last + depth)):
-                stack.append(([a & b for a in sets for b in masks[j]], j + 1, depth + 1))
+    # a prefix ends at factor k - 2 at the latest, so that a factor follows it
+    for prefix in itertools.combinations(range(k - 1), t - 1):
+        sets = masks[prefix[0]] if prefix else [-1]  # -1: the empty prefix, covered by every row
+        for j in prefix[1:]:
+            sets = [a & b for a in sets for b in masks[j]]
+        rowsets += [a & b for j in range(prefix[-1] + 1 if prefix else 0, k) for a in sets for b in masks[j]]
     return rowsets
 
 
@@ -320,16 +316,16 @@ def check_strength(model: SutModel, t: int) -> None:
         raise ValueError(f"strength must lie in 1..{model.k}")
 
 
-def check_capacity(model: SutModel, t: int, probes: int = 1) -> None:
-    """The gate before ``probes`` structures, each holding a row set per
-    strength-t interaction, are held at once: 1 for an index or ``verify``,
-    2 for a construct that forks a child for its next probe.
+def check_capacity(model: SutModel, t: int) -> int:
+    """How many structures, each holding a row set per strength-t
+    interaction, fit the memory budget at once: an index or a ``verify``
+    needs one, and a construct holds one per probe it runs at once.
 
     Raises ValueError for a strength outside 1..k or for a
     LOCARAY_MEM_BUDGET_MB that is not a non-negative whole number, and
-    CapacityError when ``probes`` times |I_t| would not fit the budget in
-    MiB that variable sets, 512 when it is unset.  The budget is read on
-    every call.
+    CapacityError when not even one structure of |I_t| interactions fits
+    the budget in MiB that variable sets, 512 when it is unset.  The
+    budget is read on every call.
     """
     check_strength(model, t)
     text = os.environ.get(MEM_BUDGET_ENV, str(DEFAULT_MEM_BUDGET_MB))
@@ -337,8 +333,10 @@ def check_capacity(model: SutModel, t: int, probes: int = 1) -> None:
         raise ValueError(f"{MEM_BUDGET_ENV} must be a non-negative whole number of MiB, got {text!r}")
     budget = int(text)
     n = interaction_count(model, t)
-    if probes * n * _BYTES_PER_INTERACTION > budget << 20:
+    fit = (budget << 20) // (n * _BYTES_PER_INTERACTION)
+    if fit < 1:
         raise CapacityError(n, budget)
+    return fit
 
 
 class InteractionCatalog:

@@ -13,7 +13,14 @@ that nobody holds, taking a probe the other is running as failed, and runs
 it on the seed the serial loop would give it, so neither idles while the
 path has a free probe: the same sizes, seeds and arrays, in less wall time.
 ``construct_runs`` runs independent restarts, in this process or in a
-process pool.
+process pool; ``parallel_construct`` keeps the smallest array of its
+restarts, the first of which is the plain construct.
+
+One rule, ``_probes_at_once``, says how many probes may run at once: no
+more than the CPUs this process may use, nor than ``model.check_capacity``
+says fit the memory budget.  A construct forks its child only where it
+allows two, and ``construct_runs`` starts no more pool processes than it
+allows.
 """
 
 import marshal
@@ -273,25 +280,28 @@ def _construct(model: SutModel, t: int, params: AnnealParams, budget: SearchBudg
     )
 
 
-def _usable_cpus() -> int:
-    # the affinity mask, where os has one: under `taskset -c 0` it holds 1 CPU, whatever the host has
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _probes_at_once(model: SutModel, t: int) -> int:
+    """How many probes of ``model`` at strength ``t`` may run at once: no
+    more than the CPUs this process may use, nor than the structures
+    ``check_capacity`` says fit the memory budget, whose errors it raises.
+    The CPUs are read from the affinity mask, where os has one: under
+    ``taskset -c 0`` it holds 1 CPU, whatever the host has."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, check_capacity(model, t))
 
 
 def _speculates(model: SutModel, t: int) -> bool:
     """Whether ``construct`` may fork a child that runs probes beside this
-    process: os has ``fork``, this process may use two CPUs and runs one
-    thread (a child of a threaded process may inherit a lock that another
-    thread held), and two probes, one in each process, fit the memory
-    budget: ``check_capacity(model, t, probes=2)`` passes."""
+    process: os has ``fork``, this process runs one thread (a child of a
+    threaded process may inherit a lock that another thread held), and
+    ``_probes_at_once`` allows two probes, one in each process."""
     threading = sys.modules.get("threading")  # if not imported, no thread was started through it
-    if not hasattr(os, "fork") or _usable_cpus() < 2 or (threading and threading.active_count() > 1):
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         return False
     try:
-        check_capacity(model, t, probes=2)
+        return _probes_at_once(model, t) >= 2
     except (ValueError, CapacityError):
         return False  # the first probe raises what it must, as it would without a child
-    return True
 
 
 class _PeerGone(Exception):
@@ -385,15 +395,15 @@ def construct_runs(
 ) -> list[SearchResult]:
     """One ``construct`` per budget, results in budget order.
 
-    Runs in min(workers, CPUs this process may use, number of budgets)
-    processes: in this process when that is 1 or less, where each construct
-    may fork one child, otherwise in a pool whose workers fork none.
-    Every budget runs whatever the pool size, so a capped pool changes only
-    the wall time, never the results.  Raises what ``model.check_capacity``
-    raises, from this process and before any pool starts.
+    Runs in min(workers, number of budgets, ``_probes_at_once``) processes,
+    each holding one probe: in this process when that is 1 or less, where
+    each construct may fork one child, otherwise in a pool whose workers
+    fork none.  Every budget runs whatever the pool size, so a capped pool
+    changes only the wall time, never the results.  Raises what
+    ``model.check_capacity`` raises, from this process and before any pool
+    starts.
     """
-    check_capacity(model, t)
-    size = min(workers, _usable_cpus(), len(budgets))
+    size = min(workers, len(budgets), _probes_at_once(model, t))
     if size <= 1:
         return [construct(model, t, params, budget) for budget in budgets]
     with _process_pool(size) as pool:
@@ -414,22 +424,22 @@ def parallel_construct(
     budget: SearchBudget | None = None,
     workers: int = 1,
 ) -> SearchResult:
-    """``workers`` independent restarts, run in at most as many processes
-    as there are CPUs this process may use; the result with the fewest rows
-    wins, ties broken toward the lowest worker index.  Worker i runs a
-    normal construct with child seed derive_seed(seed, "worker:i")."""
-    params = params or AnnealParams()
+    """``workers`` independent restarts, run by ``construct_runs``; the
+    result with the fewest rows wins, ties broken toward the lowest restart
+    index.  Restart 0 is the plain construct on the budget's seed, so more
+    workers never return more rows than one, provided the timeout never
+    fires; restart i >= 1 runs on child seed derive_seed(seed, "worker:i").
+    ``elapsed`` is the wall time of the whole call."""
+    started = time.monotonic()
     budget = budget or SearchBudget()
-    if workers <= 1:
-        return construct(model, t, params, budget)
-    budgets = [replace(budget, seed=derive_seed(budget.seed, f"worker:{i}")) for i in range(workers)]
-    results = construct_runs(model, t, params, budgets, workers)
+    budgets = [budget] + [replace(budget, seed=derive_seed(budget.seed, f"worker:{i}")) for i in range(1, workers)]
+    results = construct_runs(model, t, params or AnnealParams(), budgets, workers)
     best = min(results, key=lambda res: res.rows if res.rows is not None else math.inf)
     return SearchResult(
         array=best.array,
         rows=best.rows,
         history=[rec for res in results for rec in res.history],
         timed_out=any(res.timed_out for res in results),
-        elapsed=max(res.elapsed for res in results),
+        elapsed=time.monotonic() - started,
         time_to_best=best.time_to_best,
     )

@@ -288,6 +288,18 @@ def test_capacity_error_survives_pickling():
     assert str(copy) == str(error) == "30 interactions exceed the 0 MiB index budget (override with LOCARAY_MEM_BUDGET_MB)"
 
 
+def test_capacity_says_how_many_structures_fit(monkeypatch):
+    # spin-s at t=2: 992 interactions, 357,120 B at 360 B each
+    model = parse_model("2^13 4^5")
+    monkeypatch.delenv("LOCARAY_MEM_BUDGET_MB", raising=False)
+    assert check_capacity(model, 2) == 1503  # 512 MiB
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "1")
+    assert check_capacity(model, 2) == 2
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "0")
+    with pytest.raises(CapacityError):
+        check_capacity(model, 2)
+
+
 def test_capacity_counts_interactions_once_per_model_and_strength(monkeypatch):
     model = parse_model("2^40 3^10")
     check_capacity(model, 2)

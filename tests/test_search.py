@@ -730,11 +730,10 @@ def test_pool_falls_back_to_the_cpu_count_without_an_affinity_mask(inline_pools,
 def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monkeypatch):
     model = SutModel((2, 2))
     budget = SearchBudget(timeout=60, seed=4)
-    winner_seed = derive_seed(4, "worker:0")
 
     def restart(model_arg, t, params, wbudget):
-        # worker 0 finishes with 4 rows; worker 1 runs out of time with 5
-        if wbudget.seed == winner_seed:
+        # restart 0, on the root seed, finishes with 4 rows; restart 1 runs out of time with 5
+        if wbudget.seed == budget.seed:
             return search_module.SearchResult(TestArray(model, [[0, 0]] * 4), 4, timed_out=False)
         return search_module.SearchResult(TestArray(model, [[0, 0]] * 5), 5, timed_out=True)
 
@@ -742,6 +741,44 @@ def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monke
     result = search_module.parallel_construct(model, 2, AnnealParams(), budget, workers=2)
     assert result.rows == 4
     assert result.timed_out
+
+
+def test_parallel_construct_reports_the_wall_time_of_the_call(inline_pools, monkeypatch):
+    # a pool of two runs three restarts of 5 s each: the last starts when one of the first two ends
+    clock = FakeClock()
+
+    def restart(model, t, params, budget):
+        clock.now += 5.0
+        return search_module.SearchResult(None, None, elapsed=5.0)
+
+    monkeypatch.setattr(search_module, "time", clock)
+    monkeypatch.setattr(search_module, "_construct", restart)
+    result = search_module.parallel_construct(SutModel((2, 2)), 2, AnnealParams(), SearchBudget(seed=4), workers=3)
+    assert [pool.max_workers for pool in inline_pools] == [2]
+    assert result.elapsed == 15.0
+
+
+def test_more_workers_never_return_more_rows(inline_pools):
+    # when every restart ran on a worker seed, two workers gave 13 rows on this seed, against the plain run's 11
+    model = parse_model("2^11")
+    budget = SearchBudget(seed=9)
+    restarts = search_module.parallel_construct(model, 2, budget=budget, workers=2)
+    assert [pool.max_workers for pool in inline_pools] == [2]
+    assert restarts.rows <= construct(model, 2, budget=budget).rows
+
+
+def test_pool_holds_no_more_probes_than_fit_the_budget(inline_pools, monkeypatch):
+    # spin-s at t=2: 992 interactions, 357,120 B at 360 B each; two fit 1 MiB, three do not
+    model = parse_model("2^13 4^5")
+    one = locaray.interaction_count(model, 2) * locaray.model._BYTES_PER_INTERACTION
+    assert 2 * one <= 1 << 20 < 3 * one
+    monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(search_module, "_construct", lambda model, t, params, budget: search_module.SearchResult(None, None))
+    budgets = [SearchBudget(timeout=60, seed=seed) for seed in range(3)]
+    runs = search_module.construct_runs(model, 2, AnnealParams(), budgets, workers=3)
+    assert [pool.max_workers for pool in inline_pools] == [2]
+    assert len(runs) == len(inline_pools[0].jobs) == 3
 
 
 def test_construct_runs_returns_one_result_per_budget_in_order(inline_pools):
