@@ -52,18 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_run_flags(p, budget: SearchBudget):
-    """--timeout, --seed and --workers, shared by generate and bench."""
+def _add_run_flags(p, budget: SearchBudget, workers: str):
+    """--timeout, --seed and --workers, shared by generate and bench;
+    ``workers`` begins the --workers help, saying what it counts there."""
     p.add_argument("--timeout", type=float, default=budget.timeout, help="wall-clock budget in seconds per run (default %(default)s)")
     p.add_argument("--seed", type=int, default=budget.seed, help="root RNG seed (default %(default)s)")
     p.add_argument(
         "--workers",
         type=int,
         default=1,
-        help=(
-            f"independent runs, at most {MAX_RUNS}, in at most as many processes as CPUs this process may use; "
-            "a pool starts only for two or more; a run in this process may fork one child process (default %(default)s)"
-        ),
+        help=f"{workers}; no more processes run than CPUs this process may use; a pool starts only for two or more; "
+        "a run in this process may fork one child process (default %(default)s)",
     )
 
 
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cooling", type=float, default=params.cooling, help="geometric cooling rate (default %(default)s)")
     g.add_argument("--strategy", choices=STRATEGIES, default=params.strategy, help="neighbor selection strategy (default %(default)s)")
     g.add_argument("--max-retries", type=int, default=budget.max_retries, help="consecutive failures ending the shrink phase (default %(default)s)")
-    _add_run_flags(g, budget)
+    _add_run_flags(g, budget, f"independent restarts, at most {MAX_RUNS}, the first on the root seed; the fewest rows win")
     g.add_argument("--out", help="array file to write (stdout when omitted)")
 
     v = sub.add_parser("verify", help="check the covering/locating properties of an array file")
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--suite", help="suite file of 'name,model' lines (bundled 35-instance suite when omitted)")
     be.add_argument("--runs", type=int, default=5, help=f"runs per instance, at most {MAX_RUNS} (default %(default)s)")
     be.add_argument("--strength", type=int, default=2, help="interaction strength t (default %(default)s)")
-    _add_run_flags(be, budget)
+    _add_run_flags(be, budget, f"processes, at most {MAX_RUNS}, that run each instance's runs; they change the wall time, never the rows")
     be.add_argument("--out", help="CSV path (stdout when omitted)")
     be.add_argument("--log", help="per-run detail log (default: <out>.log, or bench.log)")
     return parser
@@ -223,9 +222,12 @@ def _read(path: str, what: str = "") -> str:
         raise _UsageError(f"cannot read {what}{path}: {exc}") from None
 
 
-def _load(path: str):
+def _load(path: str, strength: int | None):
+    """The array in ``path`` and its strength: ``strength`` unless it is
+    None, else the one the file records."""
     with _usage(f"bad array file {path}: "):
-        return parse_array(_read(path))
+        array, file_t = parse_array(_read(path))
+    return array, strength if strength is not None else file_t
 
 
 def cmd_generate(args) -> int:
@@ -262,8 +264,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    array, file_t = _load(args.array)
-    t = args.strength if args.strength is not None else file_t
+    array, t = _load(args.array, args.strength)
     _check_catalogs(t, [("", array.model)])
     report = verify(array, t, max_collision_pairs=SHOWN)
     print(f"model={array.model.spec_text()}")
@@ -302,8 +303,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_locate(args) -> int:
-    array, file_t = _load(args.array)
-    t = args.strength if args.strength is not None else file_t
+    array, t = _load(args.array, args.strength)
     with _usage("--failing: "):
         failing = frozenset(int(x) for x in args.failing.split(",") if x.strip())
     with _usage():

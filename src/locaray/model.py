@@ -26,9 +26,11 @@ block per factor combination; it holds the combinations and their block
 offsets, and encodes indices for the coverage index through its
 ``partners`` tables, built on first use.  It decodes an index in one
 place, ``pairs_at``, by ``divmod`` over the value counts, into the
-canonical pairs tuple: that is all the annealing loop reads, so an
-``Interaction`` is built only where a fault query returns one or a reader
-decodes the tids of a ``verify`` report, through ``interactions_at``.
+canonical pairs tuple; that is also its one enumeration, tid by tid.  The
+pairs are all the annealing loop reads, so an ``Interaction``, always
+through its one checked constructor, is built only where a fault query
+returns one or a reader decodes the tids of a ``verify`` report, through
+``interactions_at``.
 
 ``enumerate_interactions`` is the one (model, t) cache: it keeps the
 catalog of the last (model, t) asked for, and with it the partner tables
@@ -157,13 +159,6 @@ class Interaction:
         if len(set(factors)) != len(factors):
             raise ValueError(f"duplicate factor in interaction {pairs}")
 
-    @classmethod
-    def _canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "Interaction":
-        """An interaction from pairs already sorted by distinct factors, unchecked."""
-        interaction = object.__new__(cls)
-        object.__setattr__(interaction, "pairs", pairs)
-        return interaction
-
     @property
     def strength(self) -> int:
         return len(self.pairs)
@@ -267,7 +262,8 @@ def interaction_count(model: SutModel, t: int) -> int:
     """|I_t|: number of strength-t interactions, via the closed form
     sum over t-subsets S of factors of prod_{j in S} v_j (computed as the
     x^t coefficient of prod_j (1 + v_j x)).  Memoized for the last (model,
-    t), which ``check_capacity`` asks about once per index build and verify."""
+    t), which ``check_capacity`` asks about once per index build and verify
+    and an ``InteractionCatalog`` takes as its size."""
     if t < 0 or t > model.k:
         raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
     coeffs = [1] + [0] * t
@@ -347,19 +343,18 @@ class InteractionCatalog:
     contiguous block starting at its offset, with values ranked in mixed
     radix, the last factor varying fastest.  ``combos`` and ``offsets`` are
     tuples, so one catalog can be shared by everything built on the same
-    (model, t).
+    (model, t).  The size is ``interaction_count``'s, which raises
+    ValueError for a strength outside 0..k.
     """
 
     def __init__(self, model: SutModel, t: int):
-        if t < 0 or t > model.k:
-            raise ValueError(f"strength {t} out of range for a {model.k}-factor model")
+        self.size = interaction_count(model, t)
         self.model = model
         self.strength = t
         self.combos: tuple[tuple[int, ...], ...] = tuple(itertools.combinations(range(model.k), t))
         value_count = model.values.__getitem__
-        blocks = [math.prod(map(value_count, combo)) for combo in self.combos]
-        *offsets, self.size = itertools.accumulate(blocks, initial=0)
-        self.offsets: tuple[int, ...] = tuple(offsets)
+        blocks = [math.prod(map(value_count, combo)) for combo in self.combos[:-1]]  # the last block ends at size
+        self.offsets: tuple[int, ...] = tuple(itertools.accumulate(blocks, initial=0))
 
     def __len__(self) -> int:
         return self.size
@@ -390,8 +385,7 @@ class InteractionCatalog:
 
     def pairs_at(self, tid: int) -> tuple[tuple[int, int], ...]:
         """The canonical (factor, value) pairs of the interaction at a dense
-        index, in the order iteration yields them; IndexError outside
-        0..len - 1.
+        index, sorted by factor; IndexError outside 0..len - 1.
 
         The one tid decoder: the block is found by bisecting the offsets,
         and the rank within it is peeled off from the last factor, which
@@ -412,12 +406,7 @@ class InteractionCatalog:
 
     def interactions_at(self, tids) -> list[Interaction]:
         """The interactions at a sequence of dense indices, in that order."""
-        return [Interaction._canonical(self.pairs_at(tid)) for tid in tids]
-
-    def __iter__(self):
-        for combo in self.combos:
-            for values in itertools.product(*(range(self.model.values[j]) for j in combo)):
-                yield Interaction(tuple(zip(combo, values)))
+        return [Interaction(self.pairs_at(tid)) for tid in tids]
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,8 +13,8 @@ that nobody holds, taking a probe the other is running as failed, and runs
 it on the seed the serial loop would give it, so neither idles while the
 path has a free probe: the same sizes, seeds and arrays, in less wall time.
 ``construct_runs`` runs independent restarts, in this process or in a
-process pool; ``parallel_construct`` keeps the smallest array of its
-restarts, the first of which is the plain construct.
+process pool; ``parallel_construct`` returns the restart with the smallest
+array, the first restart being the plain construct.
 
 One rule, ``_probes_at_once``, says how many probes may run at once: no
 more than the CPUs this process may use, nor than ``model.check_capacity``
@@ -120,7 +120,9 @@ class SearchBudget:
 class SearchResult:
     """Smallest array found (None if none), every probe, and the seconds
     from the start until the search ended (``elapsed``) and until the best
-    array was found (``time_to_best``)."""
+    array was found (``time_to_best``).  From ``parallel_construct``, every
+    field but ``elapsed`` and ``timed_out`` is the winning restart's own;
+    those two describe the whole call."""
 
     array: TestArray | None
     rows: int | None
@@ -429,17 +431,14 @@ def parallel_construct(
     index.  Restart 0 is the plain construct on the budget's seed, so more
     workers never return more rows than one, provided the timeout never
     fires; restart i >= 1 runs on child seed derive_seed(seed, "worker:i").
-    ``elapsed`` is the wall time of the whole call."""
+
+    The result is the winner's: its ``array``, ``rows``, ``history`` and
+    ``time_to_best``, the last counted from the start of that restart.
+    Only ``elapsed``, the wall time of the whole call, and ``timed_out``,
+    set when any restart timed out, describe the call."""
     started = time.monotonic()
     budget = budget or SearchBudget()
     budgets = [budget] + [replace(budget, seed=derive_seed(budget.seed, f"worker:{i}")) for i in range(1, workers)]
     results = construct_runs(model, t, params or AnnealParams(), budgets, workers)
     best = min(results, key=lambda res: res.rows if res.rows is not None else math.inf)
-    return SearchResult(
-        array=best.array,
-        rows=best.rows,
-        history=[rec for res in results for rec in res.history],
-        timed_out=any(res.timed_out for res in results),
-        elapsed=time.monotonic() - started,
-        time_to_best=best.time_to_best,
-    )
+    return replace(best, timed_out=any(res.timed_out for res in results), elapsed=time.monotonic() - started)

@@ -778,6 +778,18 @@ def test_bench_help_shows_every_library_default(capsys):
         assert entries[flag].endswith(f"(default {default})"), entries[flag]
 
 
+def test_workers_help_says_what_each_command_runs(capsys):
+    # in bench, --runs sets the runs and --workers only the processes that run them
+    tail = "no more processes run than CPUs this process may use; a pool starts only for two or more; a run in this process may fork one child process (default 1)"
+    assert help_entries(capsys, "generate")["--workers"] == (
+        "--workers WORKERS independent restarts, at most 10000, the first on the root seed; the fewest rows win; " + tail
+    )
+    assert help_entries(capsys, "bench")["--workers"] == (
+        "--workers WORKERS processes, at most 10000, that run each instance's runs; "
+        "they change the wall time, never the rows; " + tail
+    )
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 

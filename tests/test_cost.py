@@ -27,6 +27,7 @@ from locaray.model import (
     random_array,
     row_sets,
 )
+from tests.literal_oracle import literal_interactions
 
 
 def random_model(rng, max_k=8, max_v=4):
@@ -442,7 +443,7 @@ def test_prefix_walks_equal_per_interaction_ands(m):
                 masks[j][value] |= 1 << i
         for t in range(1, model.k + 1):
             expected = []
-            for interaction in enumerate_interactions(model, t):
+            for interaction in literal_interactions(model, t):
                 bits = (1 << m) - 1
                 for j, v in interaction.pairs:
                     bits &= masks[j][v]

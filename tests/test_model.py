@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import pickle
 import random
 
@@ -20,15 +19,12 @@ from locaray import (
     save_array,
 )
 from locaray.model import MAX_FACTORS, check_capacity, covers, enumerate_interactions, random_array
+from tests.literal_oracle import literal_interactions
 
 
-def brute_force_interactions(model, t):
-    """Independent enumeration used as the counting/ordering oracle."""
-    out = []
-    for combo in itertools.combinations(range(model.k), t):
-        for vals in itertools.product(*(range(model.values[j]) for j in combo)):
-            out.append(tuple(zip(combo, vals)))
-    return out
+def decode_all(catalog):
+    """Every interaction of the catalog, decoded tid by tid through pairs_at."""
+    return catalog.interactions_at(range(len(catalog)))
 
 
 # --- parse_model -------------------------------------------------------------
@@ -130,8 +126,8 @@ def test_catalog_counts():
 
 
 def test_strength_zero_is_single_empty_interaction():
-    catalog = enumerate_interactions(SutModel((2, 2)), 0)
-    assert [i for i in catalog] == [Interaction(())]
+    model = SutModel((2, 2))
+    assert decode_all(enumerate_interactions(model, 0)) == literal_interactions(model, 0) == [Interaction(())]
 
 
 def test_catalog_rejects_strength_beyond_k():
@@ -146,22 +142,22 @@ def test_catalog_matches_brute_force_enumeration():
         model = SutModel(tuple(rng.randint(2, 4) for _ in range(k)))
         t = rng.randint(0, k)
         catalog = enumerate_interactions(model, t)
-        expected = brute_force_interactions(model, t)
+        expected = [i.pairs for i in literal_interactions(model, t)]
         assert len(catalog) == len(expected) == interaction_count(model, t)
-        assert [i.pairs for i in catalog] == expected
+        assert [catalog.pairs_at(tid) for tid in range(len(catalog))] == expected
 
 
 def test_catalog_order_is_canonical_and_stable():
-    catalog = enumerate_interactions(SutModel((2, 3, 2)), 2)
-    listed = list(catalog)
-    assert listed == sorted(listed, key=lambda i: i.sort_key())
+    # literal_interactions is sorted by the order's definition
+    model = SutModel((2, 3, 2))
+    assert decode_all(enumerate_interactions(model, 2)) == literal_interactions(model, 2)
 
 
 def test_index_round_trips():
     for model in (SutModel((2, 2, 2, 3)), SutModel((3, 4, 2)), SutModel((2, 5)), SutModel((4,))):
         for t in range(model.k + 1):
             catalog = enumerate_interactions(model, t)
-            for pos, interaction in enumerate(catalog):
+            for pos, interaction in enumerate(literal_interactions(model, t)):
                 assert catalog.pairs_at(pos) == interaction.pairs
                 assert catalog.interactions_at([pos]) == [interaction]
             for idx in (-1, len(catalog)):
@@ -172,19 +168,20 @@ def test_index_round_trips():
 
 
 def test_batch_decode_equals_one_at_a_time():
-    # interactions_at decodes through pairs_at, so iteration order is the
-    # independent reference for both
+    # interactions_at decodes through pairs_at, so the literal enumeration
+    # is the independent reference for both
     for model in (SutModel((2, 2, 2, 3)), SutModel((3, 4, 2)), SutModel((2, 5)), SutModel((4,))):
         for t in range(model.k + 1):
             catalog = enumerate_interactions(model, t)
-            everything = list(catalog)
+            everything = literal_interactions(model, t)
             tids = list(range(len(catalog)))
             tids += tids[::-1]
             batch = catalog.interactions_at(tids)
             assert batch == [everything[i] for i in tids]
             assert [i.pairs for i in batch] == [catalog.pairs_at(i) for i in tids]
-    catalog = enumerate_interactions(parse_model("2^40 3^10"), 2)
-    everything = list(catalog)
+    model = parse_model("2^40 3^10")
+    catalog = enumerate_interactions(model, 2)
+    everything = literal_interactions(model, 2)
     rng = random.Random(14)
     edges = [offset + d for offset in catalog.offsets for d in (-1, 0) if offset + d >= 0] + [len(catalog) - 1]
     tids = [rng.randrange(len(catalog)) for _ in range(500)] + edges
@@ -198,10 +195,10 @@ def test_batch_decode_equals_one_at_a_time():
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_interaction_at_equals_the_checked_constructor(t):
-    # the decode skips the sort and duplicate check; nothing may tell
+    # the decode builds from canonical pairs, the checked constructor from reversed ones
     for model in (SutModel((3, 2, 4, 2, 5)), SutModel((2, 6, 3, 2))):
         catalog = enumerate_interactions(model, t)
-        for tid, pairs in enumerate(brute_force_interactions(model, t)):
+        for tid, pairs in enumerate(i.pairs for i in literal_interactions(model, t)):
             assert catalog.pairs_at(tid) == pairs
             fast, checked = catalog.interactions_at([tid])[0], Interaction(tuple(reversed(pairs)))
             assert fast == checked and checked == fast

@@ -21,7 +21,7 @@ from locaray import (
     verify,
 )
 from locaray import search as search_module
-from locaray.search import _path, derive_seed, initial_bounds
+from locaray.search import ProbeRecord, _path, derive_seed, initial_bounds
 from tests.conftest import Turns
 
 
@@ -743,19 +743,32 @@ def test_parallel_construct_reports_a_losing_workers_timeout(inline_pools, monke
     assert result.timed_out
 
 
-def test_parallel_construct_reports_the_wall_time_of_the_call(inline_pools, monkeypatch):
-    # a pool of two runs three restarts of 5 s each: the last starts when one of the first two ends
+def test_parallel_construct_returns_the_winning_restart(inline_pools, monkeypatch):
+    # a pool of two runs three restarts of 5 s each, the last starting when
+    # one of the first two ends; only the third finds an array, 1 s into its
+    # run.  Joining every restart's probes into one history described a
+    # search that never ran.
     clock = FakeClock()
+    seeds = [4] + [derive_seed(4, f"worker:{i}") for i in (1, 2)]
+    history = [ProbeRecord(6, False, 0.5), ProbeRecord(4, True, 0.5)]
+    winner = search_module.SearchResult(TestArray(SutModel((2, 2)), [[0, 0]] * 4), 4, history, elapsed=5.0, time_to_best=1.0)
 
     def restart(model, t, params, budget):
         clock.now += 5.0
-        return search_module.SearchResult(None, None, elapsed=5.0)
+        if budget.seed == seeds[2]:
+            return winner
+        return search_module.SearchResult(None, None, [ProbeRecord(9, False, 5.0)], timed_out=budget.seed == seeds[1], elapsed=5.0)
 
     monkeypatch.setattr(search_module, "time", clock)
     monkeypatch.setattr(search_module, "_construct", restart)
     result = search_module.parallel_construct(SutModel((2, 2)), 2, AnnealParams(), SearchBudget(seed=4), workers=3)
     assert [pool.max_workers for pool in inline_pools] == [2]
-    assert result.elapsed == 15.0
+    assert [budget.seed for budget in inline_pools[0].jobs] == seeds
+    assert result.array is winner.array and result.rows == 4
+    assert result.history == winner.history
+    assert result.time_to_best == 1.0  # from the start of the winning restart
+    assert result.elapsed == 15.0  # the wall time of the call
+    assert result.timed_out  # a losing restart timed out
 
 
 def test_more_workers_never_return_more_rows(inline_pools):

@@ -16,7 +16,7 @@ from locaray import (
 )
 from locaray.model import InteractionCatalog, enumerate_interactions, random_array
 from locaray.verify import DEFAULT_COLLISION_PAIRS
-from tests.literal_oracle import literal_locate_fault, literal_verify
+from tests.literal_oracle import literal_interactions, literal_locate_fault, literal_verify
 
 FAULTY_PAIR = Interaction(((1, 1), (2, 1)))  # (size=A5, color=No)
 
@@ -235,7 +235,7 @@ def test_locate_fault_rejects_strength_outside_1_to_k(printer_locating, t):
 
 def test_locate_fault_inverts_rho_on_locating_array(printer_locating):
     # feeding back the covering rows of any interaction singles it out
-    for interaction in enumerate_interactions(printer_locating.model, 2):
+    for interaction in literal_interactions(printer_locating.model, 2):
         failing = rho(printer_locating, interaction)
         assert locate_fault(printer_locating, failing, 2) == [interaction]
 
