@@ -10,7 +10,10 @@ Two neighbor notions are implemented: the baseline strategy changes one
 uniformly chosen entry to a new value; the targeted strategy repairs a
 deficiency directly, either covering a currently uncovered interaction by
 overwriting a random row with it, or breaking up a pair of interactions
-with identical covering rows.
+with identical covering rows.  ``sa_run`` returns before an array with no
+rows, or a locating one, would reach neighbor selection, so neither
+selector checks for them: asked anyway, each raises ValueError from an
+empty ``randrange``.
 """
 
 import math
@@ -54,10 +57,6 @@ class AnnealParams:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
-class NoNeighborError(ValueError):
-    """Raised when asked for a neighbor of an array that has none."""
-
-
 def _random_other_value(rng: Random, domain: int, current: int) -> int:
     # uniform over the domain minus the current value, in one draw
     v = rng.randrange(domain - 1)
@@ -73,8 +72,6 @@ def _nth_row(bits: int, n: int) -> int:
 
 def select_neighbor_baseline(array: TestArray, rng: Random) -> Move:
     """Change one uniformly random entry to a uniformly random other value."""
-    if array.m == 0:
-        raise NoNeighborError("an array with no rows has no neighbors")
     i = rng.randrange(array.m)
     j = rng.randrange(array.model.k)
     v = _random_other_value(rng, array.model.values[j], array.rows[i][j])
@@ -92,16 +89,12 @@ def select_neighbor_proposed(array: TestArray, index: CoverageIndex, rng: Random
     row outside its covering set.
     """
     m = array.m
-    if m == 0:
-        raise NoNeighborError("an array with no rows has no neighbors")
     randrange = rng.randrange
     tids = index.uncovered_ids
     if tids:
         tid = tids[randrange(len(tids))]
         return overwrite_move(array, randrange(m), index.catalog.pairs_at(tid))
     tids = index.colliding_ids
-    if not tids:
-        raise RuntimeError("array is already locating; no neighbor to select")
     tid = tids[randrange(len(tids))]
     pairs = index.catalog.pairs_at(tid)
     bits = index.rowsets[tid]

@@ -67,10 +67,9 @@ class Move:
 
 
 def entry_move(array: TestArray, i: int, j: int, value: int) -> Move:
-    old = array.rows[i][j]
-    if value == old:
-        raise ValueError("entry move must change the value")
-    return Move(((i, j, old, value),))
+    """Set entry (i, j) to ``value``.  An equal value gives a move that
+    changes nothing: the entry's interactions lose row i and gain it back."""
+    return Move(((i, j, array.rows[i][j], value),))
 
 
 def overwrite_move(array: TestArray, i: int, pairs: tuple[tuple[int, int], ...]) -> Move:

@@ -50,9 +50,10 @@ unless ``LOCARAY_MEM_BUDGET_MB`` says otherwise, raising ``CapacityError``
 when not even one fits.  |I_t| is memoized for the last (model, t), but
 the budget is read on every call, so a lowered budget still refuses.  The
 CLI calls it too, in its own process before any file, pool or search.
-Whatever runs probes at once, a construct that forks a child for its next
-probe or ``search.construct_runs``' pool, runs no more of them than the
-number it returns, nor more than the CPUs this process may use.
+Whatever runs probes at once, a construct with the one child it forks to
+run probes beside it or ``search.construct_runs``' pool, runs no more of
+them than the number it returns, nor more than the CPUs this process may
+use.
 
 Conventions: factors and values are 0-based everywhere in code; row indices
 are 1-based in every human-facing or on-disk representation (``rho``,

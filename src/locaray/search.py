@@ -12,15 +12,16 @@ Where two CPUs are free, one forked child runs probes beside the parent
 that nobody holds, taking a probe the other is running as failed, and runs
 it on the seed the serial loop would give it, so neither idles while the
 path has a free probe: the same sizes, seeds and arrays, in less wall time.
-``construct_runs`` runs independent restarts, in this process or in a
-process pool; ``parallel_construct`` returns the restart with the smallest
-array, the first restart being the plain construct.
+``construct_runs`` runs every construct, a plain one as one budget and
+independent restarts as many, in this process or in a process pool;
+``parallel_construct`` returns the restart with the smallest array, the
+first restart being the plain construct.
 
 One rule, ``_probes_at_once``, says how many probes may run at once: no
 more than the CPUs this process may use, nor than ``model.check_capacity``
-says fit the memory budget.  A construct forks its child only where it
-allows two, and ``construct_runs`` starts no more pool processes than it
-allows.
+says fit the memory budget.  ``construct_runs`` alone applies it: it starts
+no more pool processes than it allows, and lets a construct in this
+process fork its child only where it allows two.
 """
 
 import marshal
@@ -42,7 +43,7 @@ except ImportError:
         from hashlib import sha256
 
 from .anneal import AnnealParams, sa_run
-from .model import CapacityError, SutModel, TestArray, check_capacity, enumerate_interactions
+from .model import SutModel, TestArray, check_capacity, enumerate_interactions
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -180,7 +181,8 @@ def construct(
     budget: SearchBudget | None = None,
 ) -> SearchResult:
     """Construct a small locating array for ``model`` at strength ``t``,
-    probing the sizes ``_path`` picks.
+    probing the sizes ``_path`` picks: ``construct_runs`` with one budget,
+    which decides whether a child runs probes beside this process.
 
     Probe n runs on child seed ``sa:n``, so its outcome does not depend on
     the process that runs it.  Probes run in one worker loop, ``work``:
@@ -188,19 +190,19 @@ def construct(
     of ``_path`` over the outcomes it knows, taking a probe its peer is
     running as failed, and claims the first probe on it that no worker
     holds; it waits for its peer only when the path has no such probe.
-    Where ``_speculates`` allows it, one forked child runs the loop beside
-    this process, which stays a worker too, and is killed once the path is
-    complete.  Alone, on one CPU or once the child has exited, the loop
-    runs the probes of the path one after another.  The result is read off
-    the path, so it is deterministic for a fixed budget seed, with or
-    without the child, provided the timeout never fires.
+    Where a child is forked, it runs the loop beside this process, which
+    stays a worker too, and is killed once the path is complete.  Alone, on
+    one CPU or once the child has exited, the loop runs the probes of the
+    path one after another.  The result is read off the path, so it is
+    deterministic for a fixed budget seed, with or without the child,
+    provided the timeout never fires.
     """
-    return _construct(model, t, params or AnnealParams(), budget or SearchBudget(), fork=True)
+    return construct_runs(model, t, params or AnnealParams(), [budget or SearchBudget()], 1)[0]
 
 
 def _construct(model: SutModel, t: int, params: AnnealParams, budget: SearchBudget, fork: bool = False) -> SearchResult:
-    # construct, forking no child unless fork is set: construct_runs' pool
-    # maps this, as its workers already fill the CPUs it may use
+    # construct, forking one child to run probes beside this process if fork
+    # is set; construct_runs decides that, and its pool leaves it unset
     started = time.monotonic()
     deadline = started + budget.timeout
     floor, high = initial_bounds(model, t)
@@ -211,15 +213,16 @@ def _construct(model: SutModel, t: int, params: AnnealParams, budget: SearchBudg
     def work(peer, known, child=False):
         # probe until the path is complete or the deadline has passed, keeping
         # each outcome in known: (size, n) -> (rows or None, start, elapsed)
-        held = {}  # (size, n) -> start, of each probe the peer has claimed and not reported
+        held = set()  # the probes the peer has claimed and not reported
         wait = child  # a child first waits for its parent's first claim, so they never start on one probe
         while True:
             if peer is not None:
-                for size, n, *message in peer.receive(wait):
-                    if len(message) == 1:  # a claim, with the time the probe started
-                        held[size, n] = message[0]
-                    else:  # an outcome: rows or None, and elapsed
-                        known.setdefault((size, n), (message[0], held.pop((size, n)), message[1]))
+                for key, *outcome in peer.receive(wait):
+                    if outcome:  # (key, (rows or None, start, elapsed))
+                        known.setdefault(key, outcome[0])
+                        held.remove(key)
+                    else:  # a claim: (key,)
+                        held.add(key)
             free = next((key for key in path(known) if key not in known and key not in held), None)
             if free is None and all(key in known for key in path(known)):
                 return  # the path is complete
@@ -231,7 +234,7 @@ def _construct(model: SutModel, t: int, params: AnnealParams, budget: SearchBudg
             size, n = free
             start = time.monotonic()
             if peer is not None:
-                peer.send((size, n, start))
+                peer.send((free,))
             found = sa_run(model, t, size, params, Random(derive_seed(budget.seed, f"sa:{n}")), deadline)
             rows = None if found is None else found.rows
             elapsed = time.monotonic() - start
@@ -239,13 +242,13 @@ def _construct(model: SutModel, t: int, params: AnnealParams, budget: SearchBudg
             if peer is not None:
                 # only a parent needs the arrays; sending its child none keeps its
                 # messages so small that it never blocks on a write
-                peer.send((size, n, rows if child or rows is None else True, elapsed))
+                peer.send((free, (rows if child or rows is None else True, start, elapsed)))
             if rows is None and start + elapsed >= deadline:
                 return  # the failure says nothing about the size
 
     known = {}
     peer = None
-    if fork and _speculates(model, t):
+    if fork:
         enumerate_interactions(model, t).partners  # built once, here, and inherited by the child
         try:
             peer = _Peer(partial(work, known={}, child=True))
@@ -290,20 +293,6 @@ def _probes_at_once(model: SutModel, t: int) -> int:
     ``taskset -c 0`` it holds 1 CPU, whatever the host has."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, check_capacity(model, t))
-
-
-def _speculates(model: SutModel, t: int) -> bool:
-    """Whether ``construct`` may fork a child that runs probes beside this
-    process: os has ``fork``, this process runs one thread (a child of a
-    threaded process may inherit a lock that another thread held), and
-    ``_probes_at_once`` allows two probes, one in each process."""
-    threading = sys.modules.get("threading")  # if not imported, no thread was started through it
-    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return False
-    try:
-        return _probes_at_once(model, t) >= 2
-    except (ValueError, CapacityError):
-        return False  # the first probe raises what it must, as it would without a child
 
 
 class _PeerGone(Exception):
@@ -395,21 +384,27 @@ def construct_runs(
     budgets: list[SearchBudget],
     workers: int,
 ) -> list[SearchResult]:
-    """One ``construct`` per budget, results in budget order.
+    """One construct per budget, results in budget order; ``construct`` is
+    this with one budget and one worker.
 
     Runs in min(workers, number of budgets, ``_probes_at_once``) processes,
-    each holding one probe: in this process when that is 1 or less, where
-    each construct may fork one child, otherwise in a pool whose workers
-    fork none.  Every budget runs whatever the pool size, so a capped pool
-    changes only the wall time, never the results.  Raises what
-    ``model.check_capacity`` raises, from this process and before any pool
-    starts.
+    each holding one probe.  When that is 2 or more, a pool runs them, and
+    its workers fork none.  Otherwise they run in this process, and each
+    forks one child to run probes beside it if ``_probes_at_once`` allows
+    two, os has ``fork`` and no other thread runs (a child of a threaded
+    process may inherit a lock that another thread held).  Every budget
+    runs whatever the pool size, so a capped pool changes only the wall
+    time, never the results.  Raises what ``model.check_capacity`` raises,
+    once, from this process and before any probe or pool starts.
     """
-    size = min(workers, len(budgets), _probes_at_once(model, t))
-    if size <= 1:
-        return [construct(model, t, params, budget) for budget in budgets]
-    with _process_pool(size) as pool:
-        return list(pool.map(partial(_construct, model, t, params), budgets))
+    at_once = _probes_at_once(model, t)
+    size = min(workers, len(budgets), at_once)
+    if size > 1:
+        with _process_pool(size) as pool:
+            return list(pool.map(partial(_construct, model, t, params), budgets))
+    threading = sys.modules.get("threading")  # if not imported, no thread was started through it
+    fork = at_once > 1 and hasattr(os, "fork") and not (threading and threading.active_count() > 1)
+    return [_construct(model, t, params, budget, fork) for budget in budgets]
 
 
 def _process_pool(max_workers: int):

@@ -122,9 +122,16 @@ def test_rowsets_match_rho_on_random_arrays():
 # --- moves ----------------------------------------------------------------------
 
 
-def test_entry_move_requires_change(printer_covering):
-    with pytest.raises(ValueError):
-        entry_move(printer_covering, 0, 0, printer_covering.rows[0][0])
+def test_an_equal_value_entry_move_round_trips(printer_covering):
+    # a move that changes nothing applies with delta 0 and undoes to the same state
+    index = build_index(printer_covering, 2)
+    before, rows = index.snapshot(), [row[:] for row in printer_covering.rows]
+    move = entry_move(printer_covering, 0, 0, printer_covering.rows[0][0])
+    assert apply_move(index, printer_covering, move) == 0
+    assert index.snapshot() == before
+    undo_move(index, printer_covering, move)
+    assert index.snapshot() == before == build_index(printer_covering, 2).snapshot()
+    assert printer_covering.rows == rows
 
 
 def test_overwrite_move_touches_only_interaction_factors(printer_covering):

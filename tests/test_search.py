@@ -5,6 +5,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -426,15 +427,35 @@ def test_a_child_is_forked_only_when_two_probes_fit_the_budget(monkeypatch):
 
 
 def test_a_refused_gate_forks_no_child(monkeypatch, turns):
-    # _speculates says no, and the first probe's index build raises what the gate raises
+    # the gate's error is raised once, before the first probe
     model = parse_model("2^4")
+    calls = []
+    monkeypatch.setattr(search_module, "sa_run", make_stub(lambda m: True, calls))
     for budget_mb, error in (("abc", ValueError), ("0", locaray.CapacityError)):
         monkeypatch.setenv("LOCARAY_MEM_BUDGET_MB", budget_mb)
-        assert not search_module._speculates(model, 2)
         with pytest.raises(error) as exc_info:
             construct(model, 2, budget=SearchBudget(timeout=60, seed=1))
         assert "LOCARAY_MEM_BUDGET_MB" in str(exc_info.value)
+        assert calls == []
         assert turns.spawned == 0
+
+
+def test_a_threaded_process_forks_no_child(monkeypatch, turns):
+    # a child of a threaded process may inherit a lock another thread held
+    model = parse_model("2^6 3^3")
+    budget = SearchBudget(timeout=60, seed=1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        result = construct(model, 2, budget=budget)
+    finally:
+        release.set()
+        waiter.join()
+    assert turns.spawned == 0
+    one_cpu(monkeypatch)
+    serial = construct(model, 2, budget=budget)
+    assert locaray.format_array(result.array, 2) == locaray.format_array(serial.array, 2)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -449,7 +470,7 @@ def forked(monkeypatch):
 
     class Spy(search_module._Peer):
         def send(self, message):
-            if self.pid is not None and len(message) == 3:  # a claim, sent by the parent
+            if self.pid is not None and len(message) == 1:  # a claim, sent by the parent
                 pids.append(self.pid)
             super().send(message)
 
